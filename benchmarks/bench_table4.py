@@ -6,6 +6,7 @@ workflows over ``synth_data.tpcds_lite`` (selectivity defaults in
 ``repro.workflows.defs``). Results are printed side by side with the
 paper's numbers and written to ``benchmarks/out/table4.txt``.
 """
+import math
 import pathlib
 
 from repro.experiments import format_table, table4_rows
@@ -23,6 +24,9 @@ def test_table4_delays(benchmark):
     OUT.mkdir(exist_ok=True)
     (OUT / "table4.txt").write_text(text)
     print("\n" + text)
+    # Every delay must be finite, or the comparisons below pass vacuously.
+    for r in rows:
+        assert all(math.isfinite(r[k]) for k in ("fries_ms", "epoch_ms")), r
     # Shape assertions (DESIGN.md §5).
     for r in rows:
         assert r["fries_ms"] <= r["epoch_ms"], r

@@ -1,5 +1,6 @@
 """Benchmark reproducing Table 6: effect of §6.3 MCS pruning on the
 reconfiguration delay in W5 (Replicate + Self-Join)."""
+import math
 import pathlib
 
 from repro.experiments import format_table, table6_rows
@@ -17,6 +18,9 @@ def test_table6_pruning(benchmark):
     OUT.mkdir(exist_ok=True)
     (OUT / "table6.txt").write_text(text)
     print("\n" + text)
+    # Every delay must be finite, or the comparisons below pass vacuously.
+    for r in rows:
+        assert all(math.isfinite(r[k]) for k in ("pruned_ms", "unpruned_ms")), r
     by_ops = {r["reconfig_ops"]: r for r in rows}
     # Shape: pruning collapses the delay where possible by orders of
     # magnitude; where impossible (FD3+FD4) the delays are ~equal.

@@ -67,7 +67,7 @@ class DAG:
         for v in (src, dst):
             if v not in self._ops:
                 raise KeyError(f"unknown operator {v!r}")
-        if (src, dst) in self._edges:
+        if dst in self._out[src]:
             raise ValueError(f"duplicate edge {src}->{dst}")
         self._edges.append((src, dst))
         self._out[src].append(dst)
@@ -212,7 +212,7 @@ class DAG:
         walk(a, [])
         return result
 
-    def longest_path_edges(self, vertices: set[str] | None = None) -> int:
+    def longest_path_edges(self, vertices: Iterable[str] | None = None) -> int:
         """Length (edge count) of the longest path within ``vertices``.
 
         ``None`` means the whole DAG. This is the per-component metric the

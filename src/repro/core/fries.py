@@ -35,6 +35,9 @@ class ReconfigPlan:
     ``marker_edges``
         the union of component-internal edges: the only edges on which
         epoch markers are propagated (empty for singleton components).
+    ``longest_path``
+        max over components of the longest path (in edges) — the metric
+        reported in Tables 4–6.
     """
 
     reconfig_ops: frozenset[str]
@@ -43,41 +46,13 @@ class ReconfigPlan:
     component_list: tuple[SubDAG, ...]
     heads: tuple[tuple[str, ...], ...]
     marker_edges: frozenset[tuple[str, str]]
+    longest_path: int
 
     def component_of(self, op: str) -> SubDAG | None:
         for c in self.component_list:
             if op in c.vertices:
                 return c
         return None
-
-    def longest_path_length(self) -> int:
-        """Max over components of the longest path (in edges) — the metric
-        reported in Tables 4–6."""
-        return max(
-            (_longest(c) for c in self.component_list),
-            default=0,
-        )
-
-
-def _longest(comp: SubDAG) -> int:
-    # Longest path within a component by DP over its (acyclic) edge set.
-    out: dict[str, list[str]] = {v: [] for v in comp.vertices}
-    indeg: dict[str, int] = {v: 0 for v in comp.vertices}
-    for a, b in comp.edges:
-        out[a].append(b)
-        indeg[b] += 1
-    order: list[str] = [v for v in comp.vertices if indeg[v] == 0]
-    dist = {v: 0 for v in comp.vertices}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in out[v]:
-            dist[w] = max(dist[w], dist[v] + 1)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    return max(dist.values(), default=0)
 
 
 def _plan_from_m(dag: DAG, reconfig_ops: frozenset[str], m: set[str]) -> ReconfigPlan:
@@ -92,6 +67,7 @@ def _plan_from_m(dag: DAG, reconfig_ops: frozenset[str], m: set[str]) -> Reconfi
         component_list=comps,
         heads=heads,
         marker_edges=marker_edges,
+        longest_path=max((dag.longest_path_edges(c.vertices) for c in comps), default=0),
     )
 
 
@@ -143,4 +119,5 @@ def plan_epoch(dag: DAG, reconfig_ops: Iterable[str]) -> ReconfigPlan:
         component_list=(whole,),
         heads=(tuple(sorted(dag.sources())),),
         marker_edges=frozenset(dag.edges),
+        longest_path=dag.longest_path_edges(),
     )

@@ -11,19 +11,19 @@ worker-level data channels:
     worker i connects only to worker i (operator chaining / local forward;
     requires equal parallelism; p channels).
 ``broadcast``
-    p_a × p_b channels, and the paper treats the upstream worker as if a
-    Replicate operator followed it — worker-level vertices gain the
-    edge-wise one-to-one (hence one-to-many) property, so Algorithm 4's
-    pruning rules still apply.
+    p_a × p_b channels, and the paper treats the upstream operator as if a
+    Replicate operator followed it (see :func:`broadcast_adjusted`).
 
-``channel_counts`` reproduces Table 7: total worker-level data channels vs
-channels whose endpoints both lie in the MCS.
+:func:`worker_pairs` is the one description of how a logical edge becomes
+channels: :func:`expand` builds G* from it and the engine wires its
+channels from it. ``channel_counts`` reproduces Table 7: total worker-level
+data channels vs channels whose endpoints both lie in the MCS.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .dag import DAG, Operator
+from .dag import DAG
 from .fries import ReconfigPlan
 
 PARTITIONINGS = ("hash", "range", "rebalance", "forward", "broadcast")
@@ -35,6 +35,46 @@ def worker_name(op: str, i: int) -> str:
 
 def base_op(worker: str) -> str:
     return worker.rsplit("#", 1)[0]
+
+
+def worker_pairs(
+    edge: tuple[str, str], strategy: str, parallelism: dict[str, int]
+) -> list[tuple[int, int]]:
+    """The ``(i, j)`` worker index pairs joined by a channel of the logical
+    ``edge``, upstream index major. Operators missing from ``parallelism``
+    have one worker."""
+    a, b = edge
+    pa, pb = parallelism.get(a, 1), parallelism.get(b, 1)
+    if strategy not in PARTITIONINGS:
+        raise ValueError(f"unknown partitioning {strategy!r} for edge {edge}")
+    for op, p in ((a, pa), (b, pb)):
+        if p < 1:
+            raise ValueError(f"parallelism of {op!r} must be >= 1")
+    if strategy == "forward":
+        if pa != pb:
+            raise ValueError(
+                f"forward edge {a}->{b} requires equal parallelism ({pa} != {pb})"
+            )
+        return [(i, i) for i in range(pa)]
+    return [(i, j) for i in range(pa) for j in range(pb)]
+
+
+def broadcast_adjusted(dag: DAG, edge_strategy: dict[tuple[str, str], str]) -> DAG:
+    """§7.2's broadcast adjustment at the logical level: an operator with a
+    broadcast out-edge sends one copy per downstream worker along that one
+    logical edge, so it is one-to-many and *not* edge-wise one-to-one.
+    (Each worker channel carries one copy, so :func:`expand` adds edge-wise
+    one-to-one back on top at the worker level.)"""
+    broadcasters = {a for (a, b) in dag.edges if edge_strategy.get((a, b)) == "broadcast"}
+    out = DAG()
+    for v in dag.topological_order():
+        o = dag.op(v)
+        if v in broadcasters:
+            o = replace(o, one_to_many=True, edgewise_one_to_one=False)
+        out.add_operator(o)
+    for e in dag.edges:
+        out.add_edge(*e)
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,56 +100,26 @@ def expand(
 ) -> ParallelDataflow:
     """Build G* = (V*, E*) from G, per-operator parallelism and per-edge
     partitioning strategies. Unlisted edges default to ``hash``."""
-    for op in dag.vertices:
-        if parallelism.get(op, 1) < 1:
-            raise ValueError(f"parallelism of {op!r} must be >= 1")
-    strategies = {}
-    for e in dag.edges:
-        s = edge_strategy.get(e, "hash")
-        if s not in PARTITIONINGS:
-            raise ValueError(f"unknown partitioning {s!r} for edge {e}")
-        strategies[e] = s
+    strategies = {e: edge_strategy.get(e, "hash") for e in dag.edges}
+    pairs = {e: worker_pairs(e, s, parallelism) for e, s in strategies.items()}
+    logical = broadcast_adjusted(dag, strategies)
     wdag = DAG()
     for op in dag.topological_order():
-        o = dag.op(op)
-        # Broadcast on any out-edge ⇒ the worker behaves like (op + Replicate):
-        # one-to-many but edge-wise one-to-one (§7.2).
-        broadcasts = any(strategies[(a, b)] == "broadcast" for a, b in dag.edges if a == op)
+        o, lo = dag.op(op), logical.op(op)
+        # One copy of a broadcast tuple per worker channel: a broadcasting
+        # worker is edge-wise one-to-one unless the operator is one-to-many.
+        e11 = o.edgewise_one_to_one or (lo.one_to_many and not o.one_to_many)
         for i in range(parallelism.get(op, 1)):
-            wdag.add_operator(
-                Operator(
-                    worker_name(op, i),
-                    one_to_many=o.one_to_many or broadcasts,
-                    edgewise_one_to_one=o.edgewise_one_to_one
-                    or (broadcasts and not o.one_to_many),
-                    unique_per_txn=o.unique_per_txn,
-                    blocking=o.blocking,
-                    is_source=o.is_source,
-                )
-            )
-    for (a, b), s in strategies.items():
-        pa, pb = parallelism.get(a, 1), parallelism.get(b, 1)
-        if s == "forward":
-            if pa != pb:
-                raise ValueError(
-                    f"forward edge {a}->{b} requires equal parallelism ({pa} != {pb})"
-                )
-            for i in range(pa):
-                wdag.add_edge(worker_name(a, i), worker_name(b, i))
-        else:
-            for i in range(pa):
-                for j in range(pb):
-                    wdag.add_edge(worker_name(a, i), worker_name(b, j))
-    wdag.validate()
+            wdag.add_operator(replace(lo, name=worker_name(op, i), edgewise_one_to_one=e11))
+    for (a, b), ps in pairs.items():
+        for i, j in ps:
+            wdag.add_edge(worker_name(a, i), worker_name(b, j))
     return ParallelDataflow(wdag, dict(parallelism), strategies)
 
 
 def n_channels(pdf: ParallelDataflow, edge: tuple[str, str]) -> int:
     """Worker-level channel count of one logical edge."""
-    a, b = edge
-    if pdf.edge_strategy[edge] == "forward":
-        return pdf.parallelism.get(a, 1)
-    return pdf.parallelism.get(a, 1) * pdf.parallelism.get(b, 1)
+    return len(worker_pairs(edge, pdf.edge_strategy[edge], pdf.parallelism))
 
 
 def channel_counts(pdf: ParallelDataflow, plan: ReconfigPlan) -> tuple[int, int]:

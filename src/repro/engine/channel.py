@@ -25,24 +25,20 @@ class Channel:
     def __init__(
         self,
         sim: "Simulator",
-        src_name: str,
-        dst_name: str,
+        src: "Worker",
+        dst: "Worker",
         *,
         latency: float = 0.001,
         capacity: int = 100,
     ) -> None:
         self.sim = sim
-        self.src_name = src_name
-        self.dst_name = dst_name
+        self.src = src
+        self.dst = dst
         self.latency = latency
         self.capacity = capacity
         self.queue: deque = deque()  # delivered, awaiting processing
         self.in_transit = 0
-        self.dst: "Worker | None" = None  # wired by the simulator
-        self.src: "Worker | None" = None
         self.blocked = False  # alignment block: dst must not consume
-        self.head_seq = 0  # delivery sequence of current head (arrival order)
-        self._next_seq = 0
 
     # -- producer side ----------------------------------------------------
     def data_load(self) -> int:
@@ -63,8 +59,7 @@ class Channel:
         if isinstance(msg, DataMsg):
             self.in_transit -= 1
         self.queue.append((self.sim.global_seq(), msg))
-        if self.dst is not None:
-            self.dst.notify()
+        self.dst.notify()
 
     # -- consumer side -----------------------------------------------------
     def head(self):
@@ -75,7 +70,7 @@ class Channel:
 
     def pop(self):
         seq, msg = self.queue.popleft()
-        if isinstance(msg, DataMsg) and self.src is not None:
+        if isinstance(msg, DataMsg):
             # Space freed: wake a sender blocked on this channel.
             self.sim.schedule(self.sim.now, self.src.on_channel_freed, self)
         return msg

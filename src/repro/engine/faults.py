@@ -67,7 +67,6 @@ class CheckpointCoordinator:
         for rec in self.records.values():
             if not self._is_complete(rec.ckpt_id):
                 rec.cancelled = True
-                self.sim.cancelled_ckpts.add(rec.ckpt_id)
         self._blocked_until = max(self._blocked_until, fcm_delivery_time)
 
     def _is_complete(self, cid: int) -> bool:

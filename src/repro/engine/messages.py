@@ -28,15 +28,14 @@ class DataMsg:
 class EpochMarker:
     """An epoch marker (§3.1) with a propagation scope.
 
-    ``scope_id`` identifies the synchronization round; ``in_scope_edges``
-    and ``out_scope_edges`` are worker-level edges (src_worker, dst_worker)
-    on which the marker is aligned / forwarded (the whole DAG for EBR, one
-    MCS component for Fries); ``reconfig_workers`` apply the piggybacked
-    reconfiguration when aligned."""
+    ``scope_id`` identifies the synchronization round; ``edges`` are the
+    *logical* edges (src_op, dst_op) in scope — the marker is aligned and
+    forwarded on every worker channel of each (§8.1; the whole DAG for EBR,
+    one MCS component for Fries); ``reconfig_workers`` apply the
+    piggybacked reconfiguration when aligned."""
 
     scope_id: str
-    in_scope_edges: frozenset[tuple[str, str]]
-    out_scope_edges: frozenset[tuple[str, str]]
+    edges: frozenset[tuple[str, str]]
     reconfig_workers: frozenset[str]
 
 
@@ -51,6 +50,6 @@ class CheckpointMarker:
 class FCM:
     """A fast control message from the controller to one worker."""
 
-    kind: str  # "apply" | "start_markers" | "inject_marker" | "register" | "bump_version"
+    kind: str  # "apply" | "start_markers" | "inject_ckpt" | "register" | "bump_version"
     payload: Any = None
     extra: dict = field(default_factory=dict)

@@ -1,16 +1,19 @@
 """Runtime reconfiguration schedulers on the simulated engine.
 
 Each scheduler issues controller actions for a reconfiguration request at
-time ``t`` and defines how the reconfiguration delay is measured:
+time ``t`` and defines how the reconfiguration delay is measured. Fries,
+EBR and savepoint share one runtime, :func:`start_plan`: FCMs to every
+worker of each component's head operators, then epoch markers on the
+worker channels of the component's logical edges. They differ only in the
+plan it is fed:
 
-* :class:`FriesScheduler` — Algorithms 2/3/4 planned on the *worker-level*
-  DAG (§7.2): FCMs to each MCS component's head workers, epoch markers
-  only inside components.
-* :class:`EpochScheduler` — the EBR baseline (Chi): markers injected at
-  every source worker, aligned across the whole dataflow, reconfiguration
-  piggybacked.
-* :class:`SavepointScheduler` — Flink stop-and-restart: EBR alignment to
-  the sinks plus a fixed stop/restart overhead.
+* :class:`FriesScheduler` — Algorithms 2/3/4 planned on the *logical* DAG
+  with §7.2's broadcast adjustment: markers only inside MCS components.
+* :class:`EpochScheduler` — the EBR baseline (Chi): ``plan_epoch``, one
+  component spanning the whole dataflow with every source a head.
+* :class:`SavepointScheduler` — Flink stop-and-restart: the EBR plan with
+  the sinks added to the reconfiguration set, plus a fixed stop/restart
+  overhead.
 * :class:`NaiveFCMScheduler` — FCMs straight to the reconfiguration
   workers; low delay but not conflict-serializable (§4.1).
 * :class:`MultiVersionScheduler` — the FCM multi-version scheduler (§4.1):
@@ -22,8 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.dag import DAG, Operator
-from repro.core.fries import ReconfigPlan, plan_general
+from repro.core.dag import DAG
+from repro.core.fries import ReconfigPlan, plan_epoch, plan_general
+from repro.core.parallel import broadcast_adjusted
 
 from .messages import EpochMarker, FCM
 from .simulator import Simulator
@@ -31,43 +35,9 @@ from .workload import WorkflowSpec
 
 
 def effective_logical_dag(spec: WorkflowSpec) -> DAG:
-    """The logical DAG with §7.2's broadcast adjustment: an operator with a
-    broadcast output edge behaves as if a Replicate operator followed it —
-    one-to-many overall, edge-wise one-to-one — so Algorithm 4's pruning
-    rules apply unchanged."""
-    out = DAG()
-    broadcasters = {a for (a, b), e in spec.edges.items() if e.strategy == "broadcast"}
-    for v in spec.dag.topological_order():
-        o = spec.dag.op(v)
-        out.add_operator(
-            Operator(
-                o.name,
-                one_to_many=o.one_to_many or v in broadcasters,
-                edgewise_one_to_one=o.edgewise_one_to_one
-                or (v in broadcasters and not o.one_to_many),
-                unique_per_txn=o.unique_per_txn,
-                blocking=o.blocking,
-                is_source=o.is_source,
-            )
-        )
-    for e in spec.dag.edges:
-        out.add_edge(*e)
-    return out
-
-
-def worker_edges_of(sim: Simulator, logical_edge: tuple[str, str]) -> list[tuple[str, str]]:
-    """Worker-level channels implementing one logical edge."""
-    a, b = logical_edge
-    strat = spec_strategy(sim, logical_edge)
-    pa = sim.spec.ops[a].parallelism
-    pb = sim.spec.ops[b].parallelism
-    if strat == "forward":
-        return [(f"{a}#{i}", f"{b}#{i}") for i in range(pa)]
-    return [(f"{a}#{i}", f"{b}#{j}") for i in range(pa) for j in range(pb)]
-
-
-def spec_strategy(sim: Simulator, edge: tuple[str, str]) -> str:
-    return sim.spec.edge_spec(edge).strategy
+    """The logical DAG Fries plans on: ``spec.dag`` with §7.2's broadcast
+    adjustment (:func:`repro.core.parallel.broadcast_adjusted`)."""
+    return broadcast_adjusted(spec.dag, spec.strategies())
 
 
 @dataclass
@@ -93,73 +63,57 @@ def _measure(sim: Simulator, workers: frozenset[str], t_req: float, plan=None) -
     )
 
 
+def start_plan(sim: Simulator, plan: ReconfigPlan, t: float, tag: str) -> None:
+    """Run ``plan`` from time ``t``: one marker per component, delivered by a
+    ``start_markers`` FCM to every worker of the component's head operators
+    (§5.3, §7.2). Each head applies the reconfiguration if targeted and
+    sends the marker on all channels of the component's edges (§8.1)."""
+    for idx, (comp, heads) in enumerate(zip(plan.component_list, plan.heads)):
+        marker = EpochMarker(
+            scope_id=f"{tag}-{t}-{idx}",
+            edges=comp.edges,
+            reconfig_workers=sim.reconfig_workers(plan.reconfig_ops & comp.vertices),
+        )
+        for op in heads:
+            for w in sim.by_op[op]:
+                sim.send_fcm(w.name, FCM("start_markers", marker), at=t + sim.spec.fcm_latency)
+
+
 class FriesScheduler:
     """Fries runtime (§5.3/§6.2/§6.3/§7.2).
 
     The plan (MCS, components, heads) is computed on the *logical* DAG with
     the broadcast adjustment — the §6.3 pruning rules are defined on
     logical edges (a hash edge's p² channels implement one logical edge) —
-    then mapped to the worker level: FCMs go to every worker of each head
-    operator, and epoch markers propagate on the worker channels of the
-    component's edges, exactly as the paper's Flink implementation (§8.1).
+    and run by :func:`start_plan`, exactly as the paper's Flink
+    implementation (§8.1).
     """
 
     def __init__(self, *, prune: bool = True) -> None:
         self.prune = prune
         self.plan: ReconfigPlan | None = None
-        self._workers: frozenset[str] = frozenset()
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
-        workers = sim.reconfig_workers(reconfig_ops)
-        self._workers = workers
-        plan = plan_general(effective_logical_dag(sim.spec), reconfig_ops, prune=self.prune)
-        self.plan = plan
-        for idx, comp in enumerate(plan.component_list):
-            scope = frozenset(
-                we for e in comp.edges for we in worker_edges_of(sim, e)
-            )
-            marker = EpochMarker(
-                scope_id=f"fries-{t}-{idx}",
-                in_scope_edges=scope,
-                out_scope_edges=scope,
-                reconfig_workers=frozenset(
-                    w.name
-                    for op in (plan.reconfig_ops & comp.vertices)
-                    for w in sim.by_op[op]
-                ),
-            )
-            for head_op in plan.heads[idx]:
-                for w in sim.by_op[head_op]:
-                    sim.send_fcm(
-                        w.name, FCM("start_markers", marker), at=t + sim.spec.fcm_latency
-                    )
+        self.plan = plan_general(effective_logical_dag(sim.spec), reconfig_ops, prune=self.prune)
+        start_plan(sim, self.plan, t, "fries")
 
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        return _measure(sim, self._workers, t, self.plan)
+        return _measure(sim, sim.reconfig_workers(self.plan.reconfig_ops), t, self.plan)
 
 
 class EpochScheduler:
-    """EBR baseline: new epoch at every source, global alignment."""
+    """EBR baseline: a new epoch at every source, global alignment, the
+    reconfiguration piggybacked on the markers."""
 
     def __init__(self) -> None:
-        self._workers: frozenset[str] = frozenset()
+        self.plan: ReconfigPlan | None = None
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
-        workers = sim.reconfig_workers(reconfig_ops)
-        self._workers = workers
-        all_edges = frozenset(sim.pdf.dag.edges)
-        marker = EpochMarker(
-            scope_id=f"ebr-{t}",
-            in_scope_edges=all_edges,
-            out_scope_edges=all_edges,
-            reconfig_workers=workers,
-        )
-        for op in sim.spec.dag.sources():
-            for w in sim.by_op[op]:
-                sim.send_fcm(w.name, FCM("inject_marker", marker), at=t + sim.spec.fcm_latency)
+        self.plan = plan_epoch(sim.spec.dag, reconfig_ops)
+        start_plan(sim, self.plan, t, "ebr")
 
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        return _measure(sim, self._workers, t)
+        return _measure(sim, sim.reconfig_workers(self.plan.reconfig_ops), t, self.plan)
 
 
 class SavepointScheduler(EpochScheduler):
@@ -169,30 +123,15 @@ class SavepointScheduler(EpochScheduler):
     def __init__(self, stop_restart_cost: float = 10.0) -> None:
         super().__init__()
         self.stop_restart_cost = stop_restart_cost
-        self._sink_workers: frozenset[str] = frozenset()
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
         # The savepoint must cover every operator, so the marker also
         # targets the sinks: their apply time marks epoch completion.
-        workers = sim.reconfig_workers(reconfig_ops)
-        sinks = frozenset(
-            w.name for op in sim.spec.dag.sinks() for w in sim.by_op[op]
-        )
-        self._workers = workers
-        self._sink_workers = sinks
-        all_edges = frozenset(sim.pdf.dag.edges)
-        marker = EpochMarker(
-            scope_id=f"svp-{t}",
-            in_scope_edges=all_edges,
-            out_scope_edges=all_edges,
-            reconfig_workers=workers | sinks,
-        )
-        for op in sim.spec.dag.sources():
-            for w in sim.by_op[op]:
-                sim.send_fcm(w.name, FCM("inject_marker", marker), at=t + sim.spec.fcm_latency)
+        self.plan = plan_epoch(sim.spec.dag, set(reconfig_ops) | set(sim.spec.dag.sinks()))
+        start_plan(sim, self.plan, t, "svp")
 
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        r = _measure(sim, self._workers | self._sink_workers, t)
+        r = super().result(sim, t)
         if r.completed:
             r.delay += self.stop_restart_cost
         return r

@@ -1,19 +1,19 @@
 """Deterministic discrete-event simulator assembling workers + channels
 from a :class:`repro.engine.workload.WorkflowSpec`.
 
-The simulator also exposes the worker-level DAG G* (via
-``repro.core.parallel.expand``) so the Fries planner (Algorithms 2–4) runs
-directly on the parallel dataflow, as §7.2 prescribes, and keeps the run's
-observable logs: the operation schedule (for conflict-serializability
-checking), configuration apply times (reconfiguration delay), sink
-latencies and checkpoint snapshots.
+Each logical edge is wired into the worker channels that
+``repro.core.parallel.worker_pairs`` lists (§7.2) — the same description
+``expand`` builds G* from. The simulator keeps the run's observable logs:
+the operation schedule (for conflict-serializability checking),
+configuration apply times (reconfiguration delay), sink latencies and
+checkpoint snapshots.
 """
 from __future__ import annotations
 
 import heapq
 from typing import Callable, Iterable
 
-from repro.core.parallel import ParallelDataflow, expand
+from repro.core.parallel import base_op, worker_pairs
 from repro.core.transactions import Schedule
 
 from .channel import Channel
@@ -47,12 +47,6 @@ class Simulator:
         self.sink_enabled = sink_log
         self.sink_log: list[tuple[float, float, int]] = []  # (arrival, created, txn)
         self.snapshots: dict[int, dict[str, int]] = {}
-        self.cancelled_ckpts: set[int] = set()
-
-        # Worker-level DAG (G*) for planning.
-        self.pdf: ParallelDataflow = expand(
-            spec.dag, spec.parallelism(), spec.strategies()
-        )
 
         # Instantiate workers.
         self.workers: dict[str, Worker] = {}
@@ -66,25 +60,17 @@ class Simulator:
 
         # Wire channels per logical edge.
         self.channels: list[Channel] = []
+        parallelism = spec.parallelism()
         for (a, b) in spec.dag.edges:
             es = spec.edge_spec((a, b))
-            pa, pb = spec.ops[a].parallelism, spec.ops[b].parallelism
-            for i in range(pa):
-                src = self.by_op[a][i]
-                if es.strategy == "forward":
-                    targets = [i]
-                else:
-                    targets = list(range(pb))
-                chans = []
-                for j in targets:
-                    dst = self.by_op[b][j]
-                    ch = Channel(
-                        self, src.name, dst.name, latency=es.latency, capacity=es.capacity
-                    )
-                    ch.src, ch.dst = src, dst
-                    dst.inputs.append(ch)
-                    chans.append(ch)
-                    self.channels.append(ch)
+            outs: list[list[Channel]] = [[] for _ in self.by_op[a]]
+            for i, j in worker_pairs((a, b), es.strategy, parallelism):
+                src, dst = self.by_op[a][i], self.by_op[b][j]
+                ch = Channel(self, src, dst, latency=es.latency, capacity=es.capacity)
+                dst.inputs.append(ch)
+                outs[i].append(ch)
+                self.channels.append(ch)
+            for src, chans in zip(self.by_op[a], outs):
                 src.out.append((b, es.strategy, chans))
 
     # ------------------------------------------------------------------
@@ -130,7 +116,8 @@ class Simulator:
         self.schedule(t, self.workers[worker].on_fcm, fcm)
 
     def reconfig_workers(self, reconfig_ops: Iterable[str]) -> frozenset[str]:
-        return self.pdf.map_reconfig(set(reconfig_ops))
+        """𝓡 → 𝓡*: a function update on o maps to updates on all workers."""
+        return frozenset(w.name for op in reconfig_ops for w in self.by_op[op])
 
     # ------------------------------------------------------------------
     # logging
@@ -143,8 +130,7 @@ class Simulator:
         return False
 
     def log_data(self, worker_name: str, msg, version: int) -> None:
-        op_name = worker_name.rsplit("#", 1)[0]
-        if self._should_record(op_name):
+        if self._should_record(base_op(worker_name)):
             self.schedule_log.record_data(msg.txn, worker_name, msg.tuple_id)
             self.data_log.append((self.now, worker_name, msg.txn, version))
 

@@ -9,11 +9,13 @@ to channel backpressure, and participates in the control protocols:
   (Def 4.1's "applies the new configuration immediately after finishing the
   processing of its current tuple"). Handling an FCM never reorders it
   ahead of this worker's *already sent* data, so marker FIFO holds.
-* **Epoch markers** ride the data FIFO. On popping a marker from a channel,
-  the worker blocks that channel and waits for markers on every in-scope
-  input (epoch alignment, §3.1); on full alignment it applies the
-  piggybacked reconfiguration (if targeted), forwards the marker on its
-  in-scope output channels, and unblocks.
+* **Epoch markers** ride the data FIFO. A marker's scope is a set of
+  logical edges; all worker channels of an edge are in or out together
+  (§8.1). On popping a marker from a channel, the worker blocks that
+  channel and waits for markers on every in-scope input (epoch alignment,
+  §3.1); on full alignment it applies the piggybacked reconfiguration (if
+  targeted), forwards the marker on its in-scope output channels, and
+  unblocks. A plan head opens the epoch the same way on its FCM.
 * **Checkpoint markers** align globally and snapshot the worker's
   configuration version (§7.3).
 """
@@ -22,6 +24,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from typing import TYPE_CHECKING
+
+from repro.core.parallel import worker_name
 
 from .channel import Channel
 from .messages import CheckpointMarker, DataMsg, EpochMarker, FCM
@@ -38,7 +42,7 @@ class Worker:
         self.sim = sim
         self.op = op
         self.index = index
-        self.name = f"{op.name}#{index}"
+        self.name = worker_name(op.name, index)
         # zlib.crc32 is process-stable (str.__hash__ is salted per process,
         # which would make runs non-reproducible across invocations).
         import zlib
@@ -56,13 +60,9 @@ class Worker:
         self.state = "idle"  # idle | busy | blocked
         self._pending: list[tuple[Channel, DataMsg]] = []
         self._dispatch_scheduled = False
-        # Epoch-marker alignment: scope_id -> set of channel ids received.
-        self._align: dict[str, set[int]] = {}
-        self._align_marker: dict[str, EpochMarker] = {}
-        self._blocked_channels: dict[str, list[Channel]] = {}
-        # Checkpoint alignment.
-        self._ckpt_align: dict[int, set[int]] = {}
-        self._ckpt_blocked: dict[int, list[Channel]] = {}
+        # Marker alignment: scope_id (epoch) or ckpt_id (checkpoint) ->
+        # the input channels its marker has arrived on, blocked meanwhile.
+        self._aligning: dict[str | int, list[Channel]] = {}
         # Self-join per-transaction arrival counts.
         self._sj_state: dict[int, int] = {}
         self.processed = 0
@@ -90,15 +90,8 @@ class Worker:
             if fcm.kind == "apply":
                 self._apply_reconfig()
             elif fcm.kind == "start_markers":
-                # Fries head: apply if targeted, then open the component's
-                # epoch by sending markers on in-component out-channels.
-                marker: EpochMarker = fcm.payload
-                if self.name in marker.reconfig_workers:
-                    self._apply_reconfig()
-                self._forward_marker(marker)
-            elif fcm.kind == "inject_marker":
-                # EBR: a source starts a new epoch carrying the reconfig.
-                self._forward_marker(fcm.payload)
+                # Plan head: open the component's epoch (Fries, EBR, savepoint).
+                self._open_epoch(fcm.payload)
             elif fcm.kind == "inject_ckpt":
                 self._ckpt_snapshot(fcm.payload)
                 self._forward_all(fcm.payload)
@@ -116,10 +109,14 @@ class Worker:
         self.version = 2
         self.sim.log_update(self.name)
 
-    def _forward_marker(self, marker: EpochMarker) -> None:
+    def _open_epoch(self, marker: EpochMarker) -> None:
+        """Apply the piggybacked reconfiguration if targeted, then send the
+        marker on every channel of the in-scope out-edges."""
+        if self.name in marker.reconfig_workers:
+            self._apply_reconfig()
         for dst_op, _, channels in self.out:
-            for ch in channels:
-                if (ch.src_name, ch.dst_name) in marker.out_scope_edges:
+            if (self.op.name, dst_op) in marker.edges:
+                for ch in channels:
                     ch.send(marker)
 
     def _forward_all(self, msg) -> None:
@@ -252,45 +249,29 @@ class Worker:
     # ------------------------------------------------------------------
     # epoch markers
     # ------------------------------------------------------------------
-    def _expected_marker_channels(self, marker: EpochMarker) -> list[Channel]:
-        return [
-            ch
-            for ch in self.inputs
-            if (ch.src_name, ch.dst_name) in marker.in_scope_edges
-        ]
+    def _aligned(self, key: str | int, ch: Channel, expected: int) -> bool:
+        """Block ``ch`` until the marker ``key`` has arrived on ``expected``
+        inputs; then unblock them all and return True."""
+        ch.blocked = True
+        arrived = self._aligning.setdefault(key, [])
+        arrived.append(ch)
+        if len(arrived) < expected:
+            return False
+        for c in self._aligning.pop(key):
+            c.blocked = False
+        return True
 
     def _on_marker(self, ch: Channel, marker: EpochMarker) -> None:
-        sid = marker.scope_id
-        self._align.setdefault(sid, set()).add(id(ch))
-        self._align_marker[sid] = marker
-        ch.blocked = True
-        self._blocked_channels.setdefault(sid, []).append(ch)
-        expected = self._expected_marker_channels(marker)
-        if len(self._align[sid]) >= len(expected):
-            self._complete_alignment(sid)
-
-    def _complete_alignment(self, sid: str) -> None:
-        marker = self._align_marker.pop(sid)
-        self._align.pop(sid, None)
-        for ch in self._blocked_channels.pop(sid, []):
-            ch.blocked = False
-        if self.name in marker.reconfig_workers:
-            self._apply_reconfig()
-        self._forward_marker(marker)
-        self.notify()
+        expected = sum((c.src.op.name, self.op.name) in marker.edges for c in self.inputs)
+        if self._aligned(marker.scope_id, ch, expected):
+            self._open_epoch(marker)
+            self.notify()
 
     # ------------------------------------------------------------------
     # checkpoint markers
     # ------------------------------------------------------------------
     def _on_ckpt(self, ch: Channel, marker: CheckpointMarker) -> None:
-        cid = marker.ckpt_id
-        self._ckpt_align.setdefault(cid, set()).add(id(ch))
-        ch.blocked = True
-        self._ckpt_blocked.setdefault(cid, []).append(ch)
-        if len(self._ckpt_align[cid]) >= len(self.inputs):
-            self._ckpt_align.pop(cid)
-            for c in self._ckpt_blocked.pop(cid, []):
-                c.blocked = False
+        if self._aligned(marker.ckpt_id, ch, len(self.inputs)):
             self._ckpt_snapshot(marker)
             self._forward_all(marker)
             self.notify()

@@ -94,7 +94,6 @@ class OpSpec:
     arity: int = 2  # selfjoin: copies per txn to combine
     out_key: KeyDist | None = None
     straggler: dict[int, float] = field(default_factory=dict)
-    apply_cost: float = 0.0  # state-transformation time on reconfiguration
     rate: float | None = None  # source only: tuples/sec
     rate_schedule: list[tuple[float, float]] | None = None  # (t, rate) steps
     n_tuples: int | None = None  # source only: stop after n

@@ -112,7 +112,7 @@ def table4_rows(
                 "workflow": wf,
                 "reconfig_ops": ", ".join(ops),
                 "mcs": mcs_desc(plan),
-                "longest_path": plan.longest_path_length(),
+                "longest_path": plan.longest_path,
                 "fries_ms": fries,
                 "epoch_ms": epoch,
                 "paper_mcs": p_mcs,
@@ -158,7 +158,7 @@ def table5_rows(
             {
                 "reconfig_ops": ", ".join(ops),
                 "mcs": mcs_desc(plan),
-                "longest_path": plan.longest_path_length(),
+                "longest_path": plan.longest_path,
                 "fries_ms": fries,
                 "epoch_ms": epoch,
                 "paper_mcs": p_mcs,

@@ -213,15 +213,22 @@ class TestParallelRouting:
         assert all(v > 0 for v in processed.values())
 
     def test_forward_requires_equal_parallelism(self):
+        """The simulator's own channel wiring rejects a forward edge with
+        unequal parallelism, an unknown partitioning and parallelism 0."""
         dag = DAG.from_edges([("src", "A"), ("A", "sink")])
-        ops = {
-            "src": OpSpec("src", kind="source", parallelism=2, rate=100, n_tuples=4),
-            "A": OpSpec("A", kind="map", parallelism=3),
-            "sink": OpSpec("sink", kind="sink"),
-        }
-        edges = {("src", "A"): EdgeSpec("forward")}
-        with pytest.raises(ValueError, match="forward"):
-            Simulator(WorkflowSpec(dag=dag, ops=ops, edges=edges))
+        for strategy, p_a, match in (
+            ("forward", 3, "forward"),
+            ("bogus", 2, "unknown partitioning"),
+            ("hash", 0, "parallelism"),
+        ):
+            ops = {
+                "src": OpSpec("src", kind="source", parallelism=2, rate=100, n_tuples=4),
+                "A": OpSpec("A", kind="map", parallelism=p_a),
+                "sink": OpSpec("sink", kind="sink"),
+            }
+            edges = {("src", "A"): EdgeSpec(strategy)}
+            with pytest.raises(ValueError, match=match):
+                Simulator(WorkflowSpec(dag=dag, ops=ops, edges=edges))
 
     def test_broadcast_reaches_all_workers(self):
         dag = DAG.from_edges([("src", "A"), ("A", "sink")])

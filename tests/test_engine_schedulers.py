@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core import check
 from repro.core.dag import DAG
 from repro.engine import (
+    EdgeSpec,
     EpochScheduler,
     FriesScheduler,
     KeyDist,
@@ -147,7 +148,50 @@ class TestFriesScheduler:
         assert len(res.apply_times) == 6  # 3 FM + 3 MC workers
 
 
+class TestBroadcastPlanning:
+    def broadcast_spec(self) -> WorkflowSpec:
+        """src(p=1) -broadcast-> op0(p=2) -hash-> op1(p=2) -> sink: both
+        copies of a transaction reach the same op1 worker, one per op0
+        worker."""
+        dag = DAG.from_edges([("src", "op0"), ("op0", "op1"), ("op1", "sink")])
+        ops = {
+            "src": OpSpec("src", kind="source", rate=200, n_tuples=200,
+                          key_dist=KeyDist.uniform(30)),
+            "op0": OpSpec("op0", kind="map", parallelism=2, cost={1: 0.005}),
+            "op1": OpSpec("op1", kind="map", parallelism=2, cost={1: 0.005, 2: 0.001}),
+            "sink": OpSpec("sink", kind="sink"),
+        }
+        return WorkflowSpec(dag=dag, ops=ops, edges={("src", "op0"): EdgeSpec("broadcast")})
+
+    def test_broadcaster_not_pruned(self):
+        """At the logical level a broadcaster sends p copies along one edge,
+        so it is one-to-many but not edge-wise one-to-one: Algorithm 4 must
+        keep it, and both copies of a transaction meet op1 on the same side
+        of the update."""
+        sched = FriesScheduler()
+        sim, res = run(self.broadcast_spec(), sched, {"op1"})
+        assert sched.plan.heads == (("src",),)
+        assert res.completed
+        assert check(sim.schedule_log).serializable
+
+
 class TestEpochScheduler:
+    def test_reconfigure_source(self):
+        """A source in the reconfiguration set applies it when it opens the
+        epoch."""
+        dag = DAG.from_edges([("src", "A"), ("A", "sink")])
+        ops = {
+            "src": OpSpec("src", kind="source", rate=200, n_tuples=100,
+                          key_dist=KeyDist.uniform(10)),
+            "A": OpSpec("A", kind="map", cost={1: 0.002}),
+            "sink": OpSpec("sink", kind="sink"),
+        }
+        spec = WorkflowSpec(dag=dag, ops=ops)
+        for scheduler in (EpochScheduler(), SavepointScheduler(stop_restart_cost=1.0)):
+            _, res = run(spec, scheduler, {"src"}, t_req=0.1)
+            assert res.completed
+            assert res.apply_times["src#0"] == pytest.approx(0.1 + spec.fcm_latency)
+
     def test_serializable(self):
         sim, res = run(fig2_spec(), EpochScheduler(), {"FM", "MC"})
         assert res.completed
@@ -189,7 +233,9 @@ class TestMultiVersionScheduler:
 
 
 def _random_chain_spec(rng: random.Random):
-    """A random pipeline with optional fanout operator, random costs."""
+    """A random pipeline with optional fanout operator, random costs and
+    random partitioning: each edge is hash, broadcast or (between equal
+    parallelisms) forward."""
     n_mid = rng.randint(2, 4)
     names = [f"op{i}" for i in range(n_mid)]
     edges = [("src", names[0])] + list(zip(names, names[1:])) + [(names[-1], "sink")]
@@ -209,7 +255,13 @@ def _random_chain_spec(rng: random.Random):
             ops[nm] = OpSpec(nm, kind="map",
                              cost={1: rng.choice([0.001, 0.008])},
                              parallelism=rng.choice([1, 2]))
-    return WorkflowSpec(dag=dag, ops=ops, seed=rng.randint(0, 999)), names
+    strategies = {}
+    for a, b in edges:
+        choices = ["hash", "broadcast"]
+        if ops[a].parallelism == ops[b].parallelism:
+            choices.append("forward")
+        strategies[(a, b)] = EdgeSpec(rng.choice(choices))
+    return WorkflowSpec(dag=dag, ops=ops, edges=strategies, seed=rng.randint(0, 999)), names
 
 
 @settings(max_examples=15, deadline=None)

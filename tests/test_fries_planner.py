@@ -33,7 +33,7 @@ class TestAlgorithm2:
         plan = plan_one_to_one(fig5_dag(), {"C", "F", "G"})
         assert comps_of(plan) == [["C", "D", "E", "F"], ["G"]]
         assert set(map(tuple, plan.heads)) == {("C",), ("G",)}
-        assert plan.longest_path_length() == 2
+        assert plan.longest_path == 2
 
     def test_singleton_no_marker_edges(self):
         plan = plan_one_to_one(fig5_dag(), {"D"})
@@ -116,7 +116,7 @@ class TestAlgorithm4PaperTables:
         plan = plan_general(effective_logical_dag(defs.w2(parallelism=2)), ops)
         assert comps_of(plan) == comps
         assert set(map(tuple, plan.heads)) == heads
-        assert plan.longest_path_length() == longest
+        assert plan.longest_path == longest
 
     @pytest.mark.parametrize(
         "ops,comps,heads",

@@ -3,7 +3,8 @@ import pytest
 
 from repro.core.dag import DAG
 from repro.core.fries import plan_general
-from repro.core.parallel import channel_counts, expand, n_channels, worker_name
+from repro.core.parallel import broadcast_adjusted, channel_counts, expand, n_channels, worker_name
+from repro.engine import EdgeSpec, OpSpec, Simulator, WorkflowSpec
 from repro.engine.schedulers import effective_logical_dag
 from repro.workflows import defs
 
@@ -65,11 +66,18 @@ class TestExpand:
 
     def test_broadcast_marks_upstream_one_to_many(self):
         """§7.2: a broadcast edge makes the upstream worker behave like a
-        Replicate operator (one-to-many, edge-wise one-to-one)."""
-        d = DAG.from_edges([("a", "b")])
-        pdf = expand(d, {"a": 2, "b": 2}, {("a", "b"): "broadcast"})
-        w = pdf.dag.op("a#0")
-        assert w.one_to_many and w.edgewise_one_to_one
+        Replicate operator (one-to-many, edge-wise one-to-one). At the
+        logical level all copies travel along one edge, so there the
+        operator is one-to-many only, even if it was a Replicate."""
+        d = DAG.from_edges([("a", "b"), ("b", "c")], edgewise_one_to_one=["b"])
+        strategies = {("a", "b"): "broadcast", ("b", "c"): "broadcast"}
+        pdf = expand(d, {v: 2 for v in d.vertices}, strategies)
+        logical = broadcast_adjusted(d, strategies)
+        for v in ("a", "b"):
+            w = pdf.dag.op(f"{v}#0")
+            assert w.one_to_many and w.edgewise_one_to_one
+            assert logical.op(v).one_to_many and not logical.op(v).edgewise_one_to_one
+        assert not logical.op("c").one_to_many
 
     def test_properties_preserved(self):
         d = DAG.from_edges([("a", "b"), ("b", "c")], one_to_many=["b"],
@@ -82,6 +90,33 @@ class TestExpand:
         d = w2_logical()
         pdf = expand(d, {o: 2 for o in d.vertices}, W2_STRATEGIES)
         assert pdf.map_reconfig({"J1"}) == frozenset({"J1#0", "J1#1"})
+
+
+def forward_broadcast_spec(*, parallelism: int) -> WorkflowSpec:
+    d = DAG.from_edges([("src", "a"), ("a", "b"), ("b", "sink")])
+    ops = {
+        "src": OpSpec("src", kind="source", parallelism=parallelism, rate=100, n_tuples=4),
+        "a": OpSpec("a", parallelism=parallelism),
+        "b": OpSpec("b", parallelism=parallelism + 1),
+        "sink": OpSpec("sink", kind="sink"),
+    }
+    edges = {("src", "a"): EdgeSpec("forward"), ("a", "b"): EdgeSpec("broadcast")}
+    return WorkflowSpec(dag=d, ops=ops, edges=edges)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [defs.w2, defs.w3, defs.w4, defs.w5, forward_broadcast_spec],
+    ids=["W2", "W3", "W4", "W5", "forward+broadcast"],
+)
+@pytest.mark.parametrize("p", [1, 3])
+def test_simulator_channels_are_expand_edges(build, p):
+    """One description of the worker topology: the simulator's channels
+    are G*'s edges, in the same order."""
+    spec = build(parallelism=p)
+    sim = Simulator(spec, record="none")
+    pdf = expand(spec.dag, spec.parallelism(), spec.strategies())
+    assert [(ch.src.name, ch.dst.name) for ch in sim.channels] == pdf.dag.edges
 
 
 class TestChannelCounts:
