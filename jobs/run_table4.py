@@ -20,6 +20,7 @@ def main() -> None:
     ap.add_argument("--rate", type=float, default=8000.0)
     args = ap.parse_args()
 
+    w2_sel = w3_sel = None
     if args.profile:
         from _session import get_spark
 
@@ -30,13 +31,16 @@ def main() -> None:
         spark = get_spark("fries-table4-profile")
         tables = synth_data.tpcds_lite(spark, sf=args.sf)
         p2, p3 = profile_w2(tables), profile_w3(tables)
-        defs.W2_SELECTIVITY.update({k: min(v, 1.0) for k, v in p2.selectivity.items()})
-        defs.W3_SELECTIVITY.update({k: min(v, 1.0) for k, v in p3.selectivity.items()})
+        # Profiled joins override the recorded defaults, capped at 1.
+        w2_sel = {**defs.W2_SELECTIVITY, **{k: min(v, 1.0) for k, v in p2.selectivity.items()}}
+        w3_sel = {**defs.W3_SELECTIVITY, **{k: min(v, 1.0) for k, v in p3.selectivity.items()}}
         print("profiled W2 selectivities:", {k: round(v, 3) for k, v in p2.selectivity.items()})
         print("profiled W3 selectivities:", {k: round(v, 3) for k, v in p3.selectivity.items()})
         spark.stop()
 
-    rows = table4_rows(parallelism=args.parallelism, rate=args.rate)
+    rows = table4_rows(
+        parallelism=args.parallelism, rate=args.rate, w2_selectivity=w2_sel, w3_selectivity=w3_sel
+    )
     print(format_table(rows, "Table 4 — reconfiguration delay in W2/W3 (ms, simulated)"))
 
 

@@ -6,9 +6,13 @@ when full, the sending worker blocks (backpressure propagates upstream —
 §3.2's reason small buffers do not fix epoch delay). Markers do not count
 against capacity (they are tiny control records riding the data FIFO), but
 they are strictly FIFO-ordered behind previously sent data.
+
+A channel registers itself as the next input of its destination worker and
+keeps that input index: the worker's ready heap names channels by it.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -36,9 +40,12 @@ class Channel:
         self.dst = dst
         self.latency = latency
         self.capacity = capacity
-        self.queue: deque = deque()  # delivered, awaiting processing
+        self.queue: deque = deque()  # (global seq, msg): delivered, awaiting processing
         self.in_transit = 0
         self.blocked = False  # alignment block: dst must not consume
+        inputs = dst.inputs
+        self.index = len(inputs)
+        inputs.append(self)
 
     # -- producer side ----------------------------------------------------
     def data_load(self) -> int:
@@ -58,16 +65,13 @@ class Channel:
     def _deliver(self, msg) -> None:
         if isinstance(msg, DataMsg):
             self.in_transit -= 1
-        self.queue.append((self.sim.global_seq(), msg))
+        seq = self.sim.global_seq()
+        if not self.queue and not self.blocked:
+            heapq.heappush(self.dst.ready, (seq, self.index))
+        self.queue.append((seq, msg))
         self.dst.notify()
 
     # -- consumer side -----------------------------------------------------
-    def head(self):
-        """(seq, msg) at the head, or None if empty/blocked."""
-        if self.blocked or not self.queue:
-            return None
-        return self.queue[0]
-
     def pop(self):
         seq, msg = self.queue.popleft()
         if isinstance(msg, DataMsg):

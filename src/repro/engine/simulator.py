@@ -11,6 +11,7 @@ checkpoint snapshots.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Iterable
 
 from repro.core.parallel import base_op, worker_pairs
@@ -39,6 +40,8 @@ class Simulator:
         self._evseq = 0
         self._gseq = 0
         self._txn = 0
+        self._halt_on_apply: Callable[[], bool] | None = None
+        self._halted = False
         self.record = record
         self.watched_ops = set(watched_ops)
         self.schedule_log = Schedule()
@@ -65,9 +68,8 @@ class Simulator:
             es = spec.edge_spec((a, b))
             outs: list[list[Channel]] = [[] for _ in self.by_op[a]]
             for i, j in worker_pairs((a, b), es.strategy, parallelism):
-                src, dst = self.by_op[a][i], self.by_op[b][j]
-                ch = Channel(self, src, dst, latency=es.latency, capacity=es.capacity)
-                dst.inputs.append(ch)
+                ch = Channel(self, self.by_op[a][i], self.by_op[b][j],
+                             latency=es.latency, capacity=es.capacity)
                 outs[i].append(ch)
                 self.channels.append(ch)
             for src, chans in zip(self.by_op[a], outs):
@@ -88,15 +90,30 @@ class Simulator:
         self._txn += 1
         return self._txn
 
-    def run(self, until: float | None = None, max_events: int = 50_000_000) -> None:
-        """Run sources + event loop until the heap drains or ``until``."""
+    def run(
+        self,
+        until: float | None = None,
+        max_events: int = 50_000_000,
+        *,
+        halt_on_apply: Callable[[], bool] | None = None,
+    ) -> None:
+        """Run the event loop until the heap drains or ``until``.
+
+        With ``halt_on_apply``, the predicate is evaluated after each
+        configuration apply, which is rare, not after every event; the
+        loop returns right after the event in which it first holds; ``now``
+        then stays at that event's time. A caller that only wants a
+        reconfiguration delay thus simulates nothing past the answer."""
+        until = math.inf if until is None else until
+        heap = self._heap
+        self._halt_on_apply, self._halted = halt_on_apply, False
         n = 0
-        while self._heap:
-            t, _, fn, args = self._heap[0]
-            if until is not None and t > until:
+        while heap and not self._halted:
+            t, _, fn, args = heap[0]
+            if t > until:
                 self.now = until
                 return
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             self.now = t
             fn(*args)
             n += 1
@@ -138,6 +155,8 @@ class Simulator:
         self.apply_times[worker_name] = self.now
         if self.record != "none":
             self.schedule_log.record_update(worker_name)
+        if self._halt_on_apply is not None and self._halt_on_apply():
+            self._halted = True
 
     def log_sink(self, msg) -> None:
         if self.sink_enabled:

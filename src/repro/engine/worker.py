@@ -21,7 +21,9 @@ to channel backpressure, and participates in the control protocols:
 """
 from __future__ import annotations
 
+import heapq
 import random
+import zlib
 from collections import deque
 from typing import TYPE_CHECKING
 
@@ -45,12 +47,15 @@ class Worker:
         self.name = worker_name(op.name, index)
         # zlib.crc32 is process-stable (str.__hash__ is salted per process,
         # which would make runs non-reproducible across invocations).
-        import zlib
-
         self.rng = random.Random(
             zlib.crc32(f"{sim.spec.seed}/{op.name}/{index}".encode())
         )
         self.inputs: list[Channel] = []
+        # Ready heap of (head global seq, input index). It holds an entry for
+        # the head of every non-blocked, non-empty input; entries whose
+        # channel got blocked, emptied or moved past that head are stale and
+        # dropped when they reach the top.
+        self.ready: list[tuple[int, int]] = []
         # Per logical out-edge: (dst op name, strategy, channels by dst index).
         self.out: list[tuple[str, str, list[Channel]]] = []
         self.version = 1
@@ -141,26 +146,31 @@ class Worker:
             ch = self._next_channel()
             if ch is None:
                 return
-            seq_msg = ch.head()
-            assert seq_msg is not None
-            _, msg = seq_msg
+            msg = ch.pop()
+            # ch's entry is on top of the ready heap: replace it by the new head.
+            if ch.queue:
+                heapq.heapreplace(self.ready, (ch.queue[0][0], ch.index))
+            else:
+                heapq.heappop(self.ready)
             if isinstance(msg, DataMsg):
-                ch.pop()
                 self._start_processing(msg)
             elif isinstance(msg, EpochMarker):
-                ch.pop()
                 self._on_marker(ch, msg)
             elif isinstance(msg, CheckpointMarker):
-                ch.pop()
                 self._on_ckpt(ch, msg)
 
     def _next_channel(self) -> Channel | None:
-        best, best_seq = None, None
-        for ch in self.inputs:
-            h = ch.head()
-            if h is not None and (best_seq is None or h[0] < best_seq):
-                best, best_seq = ch, h[0]
-        return best
+        """The non-blocked, non-empty input whose head arrived first (heads
+        carry global delivery seqs, so there are no ties), or None. Its
+        entry is left on top of the ready heap."""
+        ready, inputs = self.ready, self.inputs
+        while ready:
+            seq, i = ready[0]
+            ch = inputs[i]
+            if not ch.blocked and ch.queue and ch.queue[0][0] == seq:
+                return ch
+            heapq.heappop(ready)
+        return None
 
     def _start_processing(self, msg: DataMsg) -> None:
         version = (
@@ -259,6 +269,8 @@ class Worker:
             return False
         for c in self._aligning.pop(key):
             c.blocked = False
+            if c.queue:
+                heapq.heappush(self.ready, (c.queue[0][0], c.index))
         return True
 
     def _on_marker(self, ch: Channel, marker: EpochMarker) -> None:

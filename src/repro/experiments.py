@@ -39,18 +39,16 @@ def run_delay(
     step: float = 5.0,
 ) -> float:
     """Warm up, request the reconfiguration, run until it completes (or
-    ``t_max``), return the delay in milliseconds (inf if not completed)."""
+    ``t_max``), return the delay in milliseconds (inf if not completed).
+
+    The event loop stops right after the event whose configuration apply
+    completes the reconfiguration, so nothing past the answer is simulated.
+    ``step`` is unused; it stays for existing callers."""
     sim = Simulator(spec_builder(), record="none")
     sim.start()
     sim.run(until=warmup)
     scheduler.request(sim, reconfig_ops, warmup)
-    t = warmup
-    while t < t_max:
-        t = min(t + step, t_max)
-        sim.run(until=t)
-        r = scheduler.result(sim, warmup)
-        if r.completed:
-            return r.delay * 1000.0
+    sim.run(until=t_max, halt_on_apply=lambda: scheduler.result(sim, warmup).completed)
     r = scheduler.result(sim, warmup)
     return r.delay * 1000.0 if r.completed else math.inf
 
@@ -94,13 +92,16 @@ def table4_rows(
     rate: float = 8000.0,
     warmup: float = 12.0,
     t_max: float = 300.0,
+    w2_selectivity: dict[str, float] | None = None,
+    w3_selectivity: dict[str, float] | None = None,
 ) -> list[dict]:
     """Reproduce Table 4: delay of Fries vs Epoch for reconfiguration sets
-    in W2 and W3 (dataset-3 analogue)."""
+    in W2 and W3 (dataset-3 analogue). The join selectivities default to
+    the recorded ``defs.W2_SELECTIVITY``/``W3_SELECTIVITY``."""
     rows = []
     builders = {
-        "W2": lambda: defs.w2(parallelism=parallelism, rate=rate),
-        "W3": lambda: defs.w3(parallelism=parallelism, rate=rate * 0.75),
+        "W2": lambda: defs.w2(parallelism=parallelism, rate=rate, selectivity=w2_selectivity),
+        "W3": lambda: defs.w3(parallelism=parallelism, rate=rate * 0.75, selectivity=w3_selectivity),
     }
     for wf, ops, p_mcs, p_len, p_fries, p_epoch in PAPER_TABLE4:
         build = builders[wf]
@@ -152,8 +153,8 @@ def table5_rows(
 
     for ops, p_mcs, p_len, p_fries, p_epoch in PAPER_TABLE5:
         plan = plan_of(build(), set(ops))
-        fries = run_delay(build, FriesScheduler(), set(ops), warmup=warmup, t_max=t_max, step=10.0)
-        epoch = run_delay(build, EpochScheduler(), set(ops), warmup=warmup, t_max=t_max, step=10.0)
+        fries = run_delay(build, FriesScheduler(), set(ops), warmup=warmup, t_max=t_max)
+        epoch = run_delay(build, EpochScheduler(), set(ops), warmup=warmup, t_max=t_max)
         rows.append(
             {
                 "reconfig_ops": ", ".join(ops),
@@ -200,10 +201,10 @@ def table6_rows(
         plan_p = plan_of(build(), set(ops), prune=True)
         plan_np = plan_of(build(), set(ops), prune=False)
         d_p = run_delay(
-            build, FriesScheduler(prune=True), set(ops), warmup=warmup, t_max=t_max, step=10.0
+            build, FriesScheduler(prune=True), set(ops), warmup=warmup, t_max=t_max
         )
         d_np = run_delay(
-            build, FriesScheduler(prune=False), set(ops), warmup=warmup, t_max=t_max, step=10.0
+            build, FriesScheduler(prune=False), set(ops), warmup=warmup, t_max=t_max
         )
         rows.append(
             {

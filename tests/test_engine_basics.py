@@ -1,9 +1,22 @@
 """Engine substrate tests: channels, workers, routing, backpressure."""
+import random
+
 import pytest
 
 from repro.core.dag import DAG
-from repro.engine import KeyDist, OpSpec, Simulator, WorkflowSpec
+from repro.engine import (
+    CheckpointCoordinator,
+    EpochScheduler,
+    FriesScheduler,
+    KeyDist,
+    OpSpec,
+    Simulator,
+    Worker,
+    WorkflowSpec,
+)
 from repro.engine.workload import EdgeSpec
+
+from .test_engine_schedulers import _random_chain_spec
 
 
 def chain_spec(**src_kw) -> WorkflowSpec:
@@ -243,3 +256,40 @@ class TestParallelRouting:
         sim.start()
         sim.run()
         assert len(sim.sink_log) == 200  # each tuple processed by all 4 workers
+
+
+class TestReadyHeap:
+    def test_next_channel_is_brute_force_minimum(self, monkeypatch):
+        """Every dispatch picks, from the worker's ready heap, exactly the
+        input a scan would: the non-blocked, non-empty channel with the
+        smallest head seq. Random specs run Fries, EBR and checkpoint
+        markers, so channels block and unblock with data queued."""
+        next_channel = Worker._next_channel
+        seen = {"dispatches": 0, "queued_behind_block": 0}
+
+        def checked(worker):
+            ready = [c for c in worker.inputs if not c.blocked and c.queue]
+            expected = min(ready, key=lambda c: c.queue[0][0], default=None)
+            seen["dispatches"] += 1
+            seen["queued_behind_block"] += any(c.blocked and c.queue for c in worker.inputs)
+            chosen = next_channel(worker)
+            assert chosen is expected, (worker.name, chosen, expected)
+            return chosen
+
+        monkeypatch.setattr(Worker, "_next_channel", checked)
+        for seed in range(12):
+            rng = random.Random(seed)
+            spec, names = _random_chain_spec(rng)
+            ops = set(rng.sample(names, rng.randint(1, 2)))
+            t = rng.uniform(0.05, 0.3)
+            for marker in ("fries", "ebr", "checkpoint"):
+                sim = Simulator(spec, record="none")
+                sim.start()
+                sim.run(until=t)
+                if marker == "checkpoint":
+                    CheckpointCoordinator(sim).start_checkpoint(t)
+                else:
+                    (FriesScheduler() if marker == "fries" else EpochScheduler()).request(sim, ops, t)
+                sim.run()
+        assert seen["dispatches"] > 10_000
+        assert seen["queued_behind_block"] > 0

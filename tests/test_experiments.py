@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from repro.engine.schedulers import EpochScheduler, FriesScheduler
+from repro import experiments
+from repro.core import check
+from repro.engine import Simulator
+from repro.engine.schedulers import (
+    EpochScheduler,
+    FriesScheduler,
+    NaiveFCMScheduler,
+    SavepointScheduler,
+)
 from repro.experiments import (
     PAPER_TABLE4,
     PAPER_TABLE7,
@@ -45,6 +53,74 @@ class TestRunDelay:
         f = run_delay(build, FriesScheduler(), {"J1"}, warmup=2.0, t_max=60.0)
         e = run_delay(build, EpochScheduler(), {"J1"}, warmup=2.0, t_max=60.0)
         assert f <= e
+
+
+# (builder, reconfiguration set, warm-up, t_max) at small p: W2's cheap
+# joins, and W4's deep backlog in front of the slow FD1/FD2.
+HALT_CASES = {
+    "W2": (lambda: defs.w2(parallelism=2, rate=2000), {"J1", "J4"}, 2.0, 5.0),
+    "W4": (lambda: defs.w4(parallelism=2), {"FD1"}, 20.0, 150.0),
+}
+
+
+def _requested(wf: str, scheduler, record: str = "none") -> Simulator:
+    build, ops, warmup, _ = HALT_CASES[wf]
+    sim = Simulator(build(), record=record)
+    sim.start()
+    sim.run(until=warmup)
+    scheduler.request(sim, ops, warmup)
+    return sim
+
+
+class TestStopAtCompletion:
+    def test_run_delay_halts_at_completion(self, monkeypatch):
+        """run_delay's loop ends with the event whose apply completes the
+        reconfiguration: ``now`` is the request time plus the delay."""
+        sims = []
+
+        class Recorded(Simulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sims.append(self)
+
+        monkeypatch.setattr(experiments, "Simulator", Recorded)
+        build, ops, warmup, t_max = HALT_CASES["W2"]
+        for scheduler in (FriesScheduler(), EpochScheduler()):
+            d = run_delay(build, scheduler, ops, warmup=warmup, t_max=t_max)
+            r = scheduler.result(sims[-1], warmup)
+            assert r.completed and d == r.delay * 1000.0
+            assert sims[-1].now == max(r.apply_times.values())
+            assert sims[-1].now == pytest.approx(warmup + d / 1000.0, abs=1e-12)
+            assert sims[-1]._heap  # stopped, not drained
+
+    @pytest.mark.parametrize("wf", sorted(HALT_CASES))
+    @pytest.mark.parametrize(
+        "make", [FriesScheduler, EpochScheduler, SavepointScheduler, NaiveFCMScheduler],
+        ids=["fries", "ebr", "savepoint", "naive"],
+    )
+    def test_same_delay_as_run_to_t_max(self, wf, make):
+        """Halting changes no delay. A plain ``run(until=t_max)`` still
+        reaches ``t_max`` after the reconfiguration has completed."""
+        build, ops, warmup, t_max = HALT_CASES[wf]
+        halted = run_delay(build, make(), ops, warmup=warmup, t_max=t_max)
+        scheduler = make()
+        sim = _requested(wf, scheduler)
+        sim.run(until=t_max)
+        r = scheduler.result(sim, warmup)
+        assert r.completed and max(r.apply_times.values()) < t_max
+        assert sim.now == t_max
+        assert halted == r.delay * 1000.0
+
+    def test_naive_w4_fd1_still_flagged(self):
+        """A plain run past the naive scheduler's completion still records
+        the schedule that violates serializability on W4 {FD1}."""
+        _, _, warmup, _ = HALT_CASES["W4"]
+        scheduler = NaiveFCMScheduler()
+        sim = _requested("W4", scheduler, record="all")
+        sim.run(until=warmup + 10.0)
+        assert scheduler.result(sim, warmup).completed
+        assert sim.now == warmup + 10.0
+        assert not check(sim.schedule_log).serializable
 
 
 class TestPlanRendering:
