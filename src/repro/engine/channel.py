@@ -51,12 +51,10 @@ class Channel:
     def data_load(self) -> int:
         return self.in_transit + len(self.queue)
 
-    def has_room(self) -> bool:
-        return self.data_load() < self.capacity
-
     def send(self, msg) -> None:
         """Enqueue ``msg`` for delivery after ``latency``. Caller must have
-        checked ``has_room`` for data messages (markers always fit)."""
+        checked that ``data_load() < capacity`` for data messages (markers
+        always fit)."""
         if isinstance(msg, DataMsg):
             self.in_transit += 1
         self.sim.schedule(self.sim.now + self.latency, self._deliver, msg)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from typing import Callable, Iterable
 
 from repro.core.parallel import base_op, worker_pairs
@@ -36,7 +37,8 @@ class Simulator:
     ) -> None:
         self.spec = spec
         self.now = 0.0
-        self._heap: list = []
+        self._heap: list = []  # (t, evseq, fn, args), events after now
+        self._lane: deque = deque()  # (fn, args), events at now, FIFO
         self._evseq = 0
         self._gseq = 0
         self._txn = 0
@@ -79,8 +81,15 @@ class Simulator:
     # event loop
     # ------------------------------------------------------------------
     def schedule(self, t: float, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` at virtual time ``t``, which must not be
+        before ``now``. Events at ``now`` go to the same-time lane."""
         self._evseq += 1
-        heapq.heappush(self._heap, (t, self._evseq, fn, args))
+        if t > self.now:
+            heapq.heappush(self._heap, (t, self._evseq, fn, args))
+        elif t == self.now:
+            self._lane.append((fn, args))
+        else:
+            raise ValueError(f"event at t={t!r} is before now={self.now!r}")
 
     def global_seq(self) -> int:
         self._gseq += 1
@@ -97,7 +106,15 @@ class Simulator:
         *,
         halt_on_apply: Callable[[], bool] | None = None,
     ) -> None:
-        """Run the event loop until the heap drains or ``until``.
+        """Run the event loop until no event is queued or ``until``.
+
+        Events run in ``(t, scheduling order)``. An event scheduled at
+        ``t == now`` is later in scheduling order than every queued event,
+        so it runs after every heap event due at ``now`` and before any
+        later one. Such events therefore skip the heap: they wait in a FIFO
+        lane, which the loop drains once no heap event is due at ``now``,
+        before it advances time. ``until`` before ``now`` raises
+        ``ValueError``, as scheduling in the past does.
 
         With ``halt_on_apply``, the predicate is evaluated after each
         configuration apply, which is rare, not after every event; the
@@ -105,16 +122,25 @@ class Simulator:
         then stays at that event's time. A caller that only wants a
         reconfiguration delay thus simulates nothing past the answer."""
         until = math.inf if until is None else until
-        heap = self._heap
+        if until < self.now:
+            raise ValueError(f"run until={until!r} is before now={self.now!r}")
+        heap, lane = self._heap, self._lane
+        heappop, popleft = heapq.heappop, lane.popleft
         self._halt_on_apply, self._halted = halt_on_apply, False
+        now = self.now
         n = 0
-        while heap and not self._halted:
-            t, _, fn, args = heap[0]
-            if t > until:
-                self.now = until
+        while not self._halted:
+            if lane and not (heap and heap[0][0] <= now):
+                fn, args = popleft()
+            elif heap:
+                t = heap[0][0]
+                if t > until:
+                    self.now = until
+                    return
+                _, _, fn, args = heappop(heap)
+                self.now = now = t
+            else:
                 return
-            heapq.heappop(heap)
-            self.now = t
             fn(*args)
             n += 1
             if n >= max_events:
@@ -147,6 +173,8 @@ class Simulator:
         return False
 
     def log_data(self, worker_name: str, msg, version: int) -> None:
+        if self.record == "none":
+            return
         if self._should_record(base_op(worker_name)):
             self.schedule_log.record_data(msg.txn, worker_name, msg.tuple_id)
             self.data_log.append((self.now, worker_name, msg.txn, version))

@@ -59,6 +59,7 @@ class Worker:
         # Per logical out-edge: (dst op name, strategy, channels by dst index).
         self.out: list[tuple[str, str, list[Channel]]] = []
         self.version = 1
+        self._cost: dict[int, float] = {}  # version -> this worker's cost_at
         self.applied = False
         self.multiversion = False  # registered new config, per-tuple versioning
         self.control: deque[FCM] = deque()
@@ -180,7 +181,9 @@ class Worker:
         )
         self.sim.log_data(self.name, msg, version)
         self.state = "busy"
-        cost = self.op.cost_at(version, self.index)
+        cost = self._cost.get(version)
+        if cost is None:
+            cost = self._cost[version] = self.op.cost_at(version, self.index)
         self.sim.schedule(self.sim.now + cost, self._finish, msg, version)
 
     def _finish(self, msg: DataMsg, version: int) -> None:
@@ -239,8 +242,9 @@ class Worker:
         return emits
 
     def _try_emit(self) -> None:
-        if any(not ch.has_room() for ch, _ in self._pending):
-            return  # stay blocked; on_channel_freed retries
+        for ch, _ in self._pending:
+            if ch.in_transit + len(ch.queue) >= ch.capacity:
+                return  # stay blocked; on_channel_freed retries
         for ch, m in self._pending:
             ch.send(m)
         self._pending = []
@@ -333,8 +337,9 @@ class Worker:
                 emits.append((channels[self.index % len(channels)], msg))
             else:
                 emits.append((channels[msg.key % len(channels)], msg))
-        if any(not ch.has_room() for ch, _ in emits):
-            return  # backpressured; resumed by on_channel_freed
+        for ch, _ in emits:
+            if ch.in_transit + len(ch.queue) >= ch.capacity:
+                return  # backpressured; resumed by on_channel_freed
         self.sim.log_data(self.name, msg, self.version)
         for ch, m in emits:
             ch.send(m)

@@ -1,14 +1,19 @@
-"""Engine substrate tests: channels, workers, routing, backpressure."""
+"""Engine substrate tests: channels, workers, routing, backpressure, and
+the event loop's order."""
+import heapq
+import math
 import random
 
 import pytest
 
+from repro import experiments
 from repro.core.dag import DAG
 from repro.engine import (
     CheckpointCoordinator,
     EpochScheduler,
     FriesScheduler,
     KeyDist,
+    NaiveFCMScheduler,
     OpSpec,
     Simulator,
     Worker,
@@ -17,6 +22,7 @@ from repro.engine import (
 from repro.engine.workload import EdgeSpec
 
 from .test_engine_schedulers import _random_chain_spec
+from .test_experiments import HALT_CASES
 
 
 def chain_spec(**src_kw) -> WorkflowSpec:
@@ -258,6 +264,24 @@ class TestParallelRouting:
         assert len(sim.sink_log) == 200  # each tuple processed by all 4 workers
 
 
+def _random_run(cls, seed: int, marker: str) -> Simulator:
+    """One of 12 random pipelines (``seed``), recorded, with a Fries, EBR or
+    NaiveFCM request or a checkpoint at a random time, run to the end."""
+    rng = random.Random(seed)
+    spec, names = _random_chain_spec(rng)
+    ops = set(rng.sample(names, rng.randint(1, 2)))
+    t = rng.uniform(0.05, 0.3)
+    sim = cls(spec, record="all", sink_log=True)
+    sim.start()
+    sim.run(until=t)
+    if marker == "checkpoint":
+        CheckpointCoordinator(sim).start_checkpoint(t)
+    else:
+        {"fries": FriesScheduler, "ebr": EpochScheduler, "naive": NaiveFCMScheduler}[marker]().request(sim, ops, t)
+    sim.run()
+    return sim
+
+
 class TestReadyHeap:
     def test_next_channel_is_brute_force_minimum(self, monkeypatch):
         """Every dispatch picks, from the worker's ready heap, exactly the
@@ -278,18 +302,136 @@ class TestReadyHeap:
 
         monkeypatch.setattr(Worker, "_next_channel", checked)
         for seed in range(12):
-            rng = random.Random(seed)
-            spec, names = _random_chain_spec(rng)
-            ops = set(rng.sample(names, rng.randint(1, 2)))
-            t = rng.uniform(0.05, 0.3)
             for marker in ("fries", "ebr", "checkpoint"):
-                sim = Simulator(spec, record="none")
-                sim.start()
-                sim.run(until=t)
-                if marker == "checkpoint":
-                    CheckpointCoordinator(sim).start_checkpoint(t)
-                else:
-                    (FriesScheduler() if marker == "fries" else EpochScheduler()).request(sim, ops, t)
-                sim.run()
+                _random_run(Simulator, seed, marker)
         assert seen["dispatches"] > 10_000
         assert seen["queued_behind_block"] > 0
+
+
+class HeapOnlySimulator(Simulator):
+    """Reference event loop without the same-time lane: every event goes
+    through the heap and runs in ``(t, scheduling order)``."""
+
+    def schedule(self, t, fn, *args):
+        self._evseq += 1
+        heapq.heappush(self._heap, (t, self._evseq, fn, args))
+
+    def run(self, until=None, max_events=50_000_000, *, halt_on_apply=None):
+        until = math.inf if until is None else until
+        heap = self._heap
+        self._halt_on_apply, self._halted = halt_on_apply, False
+        n = 0
+        while heap and not self._halted:
+            t, _, fn, args = heap[0]
+            if t > until:
+                self.now = until
+                return
+            heapq.heappop(heap)
+            self.now = t
+            fn(*args)
+            n += 1
+            if n >= max_events:
+                raise RuntimeError("simulation exceeded max_events")
+
+
+def _observed(sim: Simulator):
+    return (
+        sim.apply_times,
+        sim.schedule_log.ops,
+        sim.snapshots,
+        sim.sink_log,
+        {name: w.processed for name, w in sim.workers.items()},
+        sim.now,
+    )
+
+
+def _halt_case_run(cls, wf: str, make, halted: bool, monkeypatch) -> tuple[Simulator, float]:
+    """W2/W4 at p=2: halted through ``run_delay``, or a recorded plain run
+    to ``t_max``."""
+    build, ops, warmup, t_max = HALT_CASES[wf]
+    if halted:
+        sims = []
+
+        class Recorded(cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sims.append(self)
+
+        monkeypatch.setattr(experiments, "Simulator", Recorded)
+        delay = experiments.run_delay(build, make(), ops, warmup=warmup, t_max=t_max)
+        return sims[-1], delay
+    scheduler = make()
+    sim = cls(build(), record="all", sink_log=True)
+    sim.start()
+    sim.run(until=warmup)
+    scheduler.request(sim, ops, warmup)
+    sim.run(until=t_max)
+    return sim, scheduler.result(sim, warmup).delay
+
+
+class TestSameTimeLane:
+    @pytest.mark.parametrize("marker", ["fries", "ebr", "checkpoint", "naive"])
+    def test_random_specs_match_heap_only_loop(self, marker):
+        """Zero-delay events through the lane run in the same order as
+        through the heap: every observable log is identical."""
+        for seed in range(12):
+            ref = _random_run(HeapOnlySimulator, seed, marker)
+            sim = _random_run(Simulator, seed, marker)
+            assert _observed(sim) == _observed(ref), seed
+            assert not ref._lane
+
+    @pytest.mark.parametrize("halted", [True, False], ids=["run_delay", "t_max"])
+    @pytest.mark.parametrize("wf", sorted(HALT_CASES))
+    def test_workflows_match_heap_only_loop(self, wf, halted, monkeypatch):
+        for make in (FriesScheduler, EpochScheduler):
+            ref, ref_delay = _halt_case_run(HeapOnlySimulator, wf, make, halted, monkeypatch)
+            sim, delay = _halt_case_run(Simulator, wf, make, halted, monkeypatch)
+            assert delay == ref_delay and math.isfinite(delay)
+            assert _observed(sim) == _observed(ref)
+
+    def test_event_accounting(self, monkeypatch):
+        """``_evseq`` counts every scheduled event, lane events included, so
+        ``_evseq`` minus the queued events is the number executed."""
+        executed = [0]
+
+        class Counted(Simulator):
+            def schedule(self, t, fn, *args):
+                def counted(*a):
+                    executed[0] += 1
+                    fn(*a)
+
+                super().schedule(t, counted, *args)
+
+        sim = Counted(chain_spec())
+        sim.start()
+        sim.run()
+        assert sim._evseq == executed[0] > 0
+
+        executed[0] = 0
+        sim, _ = _halt_case_run(Counted, "W2", FriesScheduler, True, monkeypatch)
+        assert sim._heap and sim._lane  # halted with events of both kinds queued
+        assert sim._evseq - len(sim._heap) - len(sim._lane) == executed[0]
+
+    def test_max_events_counts_lane_events(self):
+        sim = Simulator(chain_spec())
+        calls = [0]
+
+        def again():
+            calls[0] += 1
+            sim.schedule(sim.now, again)
+
+        sim.schedule(0.0, again)
+        with pytest.raises(RuntimeError, match="max_events"):
+            sim.run(max_events=1000)
+        assert calls[0] == 1000 and sim.now == 0.0
+
+    def test_scheduling_in_the_past_raises(self):
+        sim = Simulator(chain_spec())
+        sim.start()
+        sim.run(until=0.02)
+        with pytest.raises(ValueError, match="before now"):
+            sim.schedule(sim.now - 1e-9, lambda: None)
+        with pytest.raises(ValueError, match="before now"):
+            sim.run(until=0.01)
+        sim.run()
+        assert sim.now > 0.02
