@@ -7,7 +7,7 @@ delivered to a worker with a small fixed latency, never queued behind data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -19,7 +19,6 @@ class DataMsg:
 
     txn: int
     key: int
-    tuple_id: str
     created: float
     version_tag: int | None = None
 
@@ -52,4 +51,3 @@ class FCM:
 
     kind: str  # "apply" | "start_markers" | "inject_ckpt" | "register" | "bump_version"
     payload: Any = None
-    extra: dict = field(default_factory=dict)

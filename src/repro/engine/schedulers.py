@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.core.dag import DAG
 from repro.core.fries import ReconfigPlan, plan_epoch, plan_general
 from repro.core.parallel import broadcast_adjusted
+from repro.core.transactions import UPDATE_TXN
 
 from .messages import EpochMarker, FCM
 from .simulator import Simulator
@@ -161,12 +162,15 @@ class MultiVersionScheduler:
     subsequent tuples v2. The reconfiguration is complete when no
     reconfiguration worker will ever process a v1 tuple again — measured
     post-hoc as the last v1 data operation on a reconfiguration worker.
+    That measurement reads ``op_log``, so the simulator must record.
     """
 
     def __init__(self) -> None:
         self._workers: frozenset[str] = frozenset()
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
+        if sim.record == "none":
+            raise ValueError("MultiVersionScheduler measures from op_log: use record='all'")
         workers = sim.reconfig_workers(reconfig_ops)
         self._workers = workers
         for w in sim.workers:
@@ -180,8 +184,8 @@ class MultiVersionScheduler:
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
         last_v1: dict[str, float] = {w: t for w in self._workers}
         seen_v2: set[str] = set()
-        for when, worker, _txn, version in sim.data_log:
-            if worker in last_v1 and when >= t:
+        for when, worker, txn, version in sim.op_log:
+            if txn != UPDATE_TXN and worker in last_v1 and when >= t:
                 if version <= 1:
                     last_v1[worker] = max(last_v1[worker], when)
                 else:

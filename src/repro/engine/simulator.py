@@ -3,10 +3,11 @@ from a :class:`repro.engine.workload.WorkflowSpec`.
 
 Each logical edge is wired into the worker channels that
 ``repro.core.parallel.worker_pairs`` lists (§7.2) — the same description
-``expand`` builds G* from. The simulator keeps the run's observable logs:
-the operation schedule (for conflict-serializability checking),
-configuration apply times (reconfiguration delay), sink latencies and
-checkpoint snapshots.
+``expand`` builds G* from. Under ``record="all"`` the run logs every
+operation in ``op_log`` as ``(t, worker, txn, version)``, an update μ(o)
+under ``UPDATE_TXN``, and every sink arrival in ``sink_log``;
+``schedule_log`` is ``op_log`` as a §4.2 schedule, built when read. Apply
+times (reconfiguration delay) and checkpoint snapshots are always kept.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import math
 from collections import deque
 from typing import Callable, Iterable
 
-from repro.core.parallel import base_op, worker_pairs
-from repro.core.transactions import Schedule
+from repro.core.parallel import worker_pairs
+from repro.core.transactions import UPDATE_TXN, DataOp, Schedule, UpdateOp
 
 from .channel import Channel
 from .messages import FCM
@@ -31,10 +32,10 @@ class Simulator:
         self,
         spec: WorkflowSpec,
         *,
-        record: str = "watched",  # "none" | "watched" | "all"
-        watched_ops: Iterable[str] = (),
-        sink_log: bool = False,
+        record: str = "all",
     ) -> None:
+        if record not in ("none", "all"):
+            raise ValueError(f"record must be 'none' or 'all', not {record!r}")
         self.spec = spec
         self.now = 0.0
         self._heap: list = []  # (t, evseq, fn, args), events after now
@@ -45,11 +46,8 @@ class Simulator:
         self._halt_on_apply: Callable[[], bool] | None = None
         self._halted = False
         self.record = record
-        self.watched_ops = set(watched_ops)
-        self.schedule_log = Schedule()
-        self.data_log: list[tuple[float, str, int, int]] = []  # (t, worker, txn, version)
+        self.op_log: list[tuple[float, str, int, int]] = []  # (t, worker, txn, version)
         self.apply_times: dict[str, float] = {}
-        self.sink_enabled = sink_log
         self.sink_log: list[tuple[float, float, int]] = []  # (arrival, created, txn)
         self.snapshots: dict[int, dict[str, int]] = {}
 
@@ -165,30 +163,29 @@ class Simulator:
     # ------------------------------------------------------------------
     # logging
     # ------------------------------------------------------------------
-    def _should_record(self, op_name: str) -> bool:
+    def log_data(self, worker_name: str, txn: int, version: int) -> None:
         if self.record == "all":
-            return True
-        if self.record == "watched":
-            return op_name in self.watched_ops
-        return False
+            self.op_log.append((self.now, worker_name, txn, version))
 
-    def log_data(self, worker_name: str, msg, version: int) -> None:
-        if self.record == "none":
-            return
-        if self._should_record(base_op(worker_name)):
-            self.schedule_log.record_data(msg.txn, worker_name, msg.tuple_id)
-            self.data_log.append((self.now, worker_name, msg.txn, version))
-
-    def log_update(self, worker_name: str) -> None:
+    def log_update(self, worker_name: str, version: int) -> None:
         self.apply_times[worker_name] = self.now
-        if self.record != "none":
-            self.schedule_log.record_update(worker_name)
+        if self.record == "all":
+            self.op_log.append((self.now, worker_name, UPDATE_TXN, version))
         if self._halt_on_apply is not None and self._halt_on_apply():
             self._halted = True
 
     def log_sink(self, msg) -> None:
-        if self.sink_enabled:
+        if self.record == "all":
             self.sink_log.append((self.now, msg.created, msg.txn))
+
+    @property
+    def schedule_log(self) -> Schedule:
+        """``op_log`` as a §4.2 schedule, for the serializability checker.
+        Built on each read, so the event loop never builds operations."""
+        return Schedule([
+            UpdateOp(w) if txn == UPDATE_TXN else DataOp(txn, w)
+            for _, w, txn, _ in self.op_log
+        ])
 
     def log_snapshot(self, ckpt_id: int, worker_name: str, version: int) -> None:
         self.snapshots.setdefault(ckpt_id, {})[worker_name] = version

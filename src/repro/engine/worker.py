@@ -72,7 +72,6 @@ class Worker:
         # Self-join per-transaction arrival counts.
         self._sj_state: dict[int, int] = {}
         self.processed = 0
-        self._emit_count = 0
         # Source state.
         self._emitted = 0
         self._src_pending: DataMsg | None = None
@@ -110,10 +109,10 @@ class Worker:
 
     def _apply_reconfig(self) -> None:
         if self.applied:
-            return
+            raise RuntimeError(f"{self.name} already applied its reconfiguration")
         self.applied = True
         self.version = 2
-        self.sim.log_update(self.name)
+        self.sim.log_update(self.name, self.version)
 
     def _open_epoch(self, marker: EpochMarker) -> None:
         """Apply the piggybacked reconfiguration if targeted, then send the
@@ -179,7 +178,7 @@ class Worker:
             if (self.multiversion and msg.version_tag is not None)
             else self.version
         )
-        self.sim.log_data(self.name, msg, version)
+        self.sim.log_data(self.name, msg.txn, version)
         self.state = "busy"
         cost = self._cost.get(version)
         if cost is None:
@@ -225,11 +224,9 @@ class Worker:
         emits: list[tuple[Channel, DataMsg]] = []
         for edge_idx, key in targets:
             dst_op, strategy, channels = out[edge_idx]
-            self._emit_count += 1
             child = DataMsg(
                 txn=msg.txn,
                 key=key,
-                tuple_id=f"{msg.tuple_id}/{self.name}.{self._emit_count}",
                 created=msg.created,
                 version_tag=msg.version_tag,
             )
@@ -316,7 +313,6 @@ class Worker:
         self._src_pending = DataMsg(
             txn=txn,
             key=key,
-            tuple_id=f"t{txn}",
             created=self.sim.now,
             version_tag=self.version if self.multiversion else None,
         )
@@ -340,7 +336,7 @@ class Worker:
         for ch, _ in emits:
             if ch.in_transit + len(ch.queue) >= ch.capacity:
                 return  # backpressured; resumed by on_channel_freed
-        self.sim.log_data(self.name, msg, self.version)
+        self.sim.log_data(self.name, msg.txn, self.version)
         for ch, m in emits:
             ch.send(m)
         self._src_pending = None

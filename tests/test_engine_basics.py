@@ -1,13 +1,18 @@
 """Engine substrate tests: channels, workers, routing, backpressure, and
 the event loop's order."""
 import heapq
+import importlib.util
 import math
+import pathlib
 import random
+import sys
 
 import pytest
 
 from repro import experiments
+from repro.core import check
 from repro.core.dag import DAG
+from repro.core.transactions import UPDATE_TXN, Schedule, UpdateOp
 from repro.engine import (
     CheckpointCoordinator,
     EpochScheduler,
@@ -39,14 +44,14 @@ def chain_spec(**src_kw) -> WorkflowSpec:
 
 class TestBasicFlow:
     def test_all_tuples_reach_sink(self):
-        sim = Simulator(chain_spec(), sink_log=True)
+        sim = Simulator(chain_spec())
         sim.start()
         sim.run()
         assert len(sim.sink_log) == 50
 
     def test_deterministic(self):
         def run():
-            sim = Simulator(chain_spec(), sink_log=True)
+            sim = Simulator(chain_spec())
             sim.start()
             sim.run()
             return sim.sink_log
@@ -54,14 +59,14 @@ class TestBasicFlow:
         assert run() == run()
 
     def test_latency_positive_and_ordered(self):
-        sim = Simulator(chain_spec(), sink_log=True)
+        sim = Simulator(chain_spec())
         sim.start()
         sim.run()
         for arrival, created, _ in sim.sink_log:
             assert arrival > created
 
     def test_source_rate_respected(self):
-        sim = Simulator(chain_spec(), sink_log=True)
+        sim = Simulator(chain_spec())
         sim.start()
         sim.run()
         last_arrival = max(t for t, _, _ in sim.sink_log)
@@ -69,7 +74,7 @@ class TestBasicFlow:
         assert 0.04 < last_arrival < 0.2
 
     def test_txn_ids_unique(self):
-        sim = Simulator(chain_spec(), sink_log=True)
+        sim = Simulator(chain_spec())
         sim.start()
         sim.run()
         txns = [t for _, _, t in sim.sink_log]
@@ -87,7 +92,7 @@ class TestOperatorKinds:
             if v.startswith("sink"):
                 ops[v] = OpSpec(v, kind="sink")
         spec = WorkflowSpec(dag=dag, ops=ops)
-        sim = Simulator(spec, sink_log=True)
+        sim = Simulator(spec)
         sim.start()
         sim.run()
         return sim
@@ -148,7 +153,7 @@ class TestSelfJoin:
             "SJ": OpSpec("SJ", kind="selfjoin", arity=2),
             "sink": OpSpec("sink", kind="sink"),
         }
-        sim = Simulator(WorkflowSpec(dag=dag, ops=ops), sink_log=True)
+        sim = Simulator(WorkflowSpec(dag=dag, ops=ops))
         sim.start()
         sim.run()
         # Exactly one combined tuple per transaction.
@@ -171,7 +176,7 @@ class TestSelfJoin:
             "SJ": OpSpec("SJ", kind="selfjoin", arity=2, parallelism=3),
             "sink": OpSpec("sink", kind="sink"),
         }
-        sim = Simulator(WorkflowSpec(dag=dag, ops=ops), sink_log=True)
+        sim = Simulator(WorkflowSpec(dag=dag, ops=ops))
         sim.start()
         sim.run()
         # Hash routing sends both replicas of a key to the same SJ worker.
@@ -199,7 +204,7 @@ class TestBackpressure:
             assert ch.data_load() <= 10
 
     def test_backpressure_slows_source_not_loses_tuples(self):
-        sim = Simulator(self.make(capacity=5), sink_log=True)
+        sim = Simulator(self.make(capacity=5))
         sim.start()
         sim.run()
         assert len(sim.sink_log) == 200
@@ -223,7 +228,7 @@ class TestParallelRouting:
             "A": OpSpec("A", kind="map", parallelism=4),
             "sink": OpSpec("sink", kind="sink"),
         }
-        sim = Simulator(WorkflowSpec(dag=dag, ops=ops), sink_log=True)
+        sim = Simulator(WorkflowSpec(dag=dag, ops=ops))
         sim.start()
         sim.run()
         assert len(sim.sink_log) == 300
@@ -258,7 +263,7 @@ class TestParallelRouting:
             "sink": OpSpec("sink", kind="sink"),
         }
         edges = {("src", "A"): EdgeSpec("broadcast"), ("A", "sink"): EdgeSpec("hash")}
-        sim = Simulator(WorkflowSpec(dag=dag, ops=ops, edges=edges), sink_log=True)
+        sim = Simulator(WorkflowSpec(dag=dag, ops=ops, edges=edges))
         sim.start()
         sim.run()
         assert len(sim.sink_log) == 200  # each tuple processed by all 4 workers
@@ -271,7 +276,7 @@ def _random_run(cls, seed: int, marker: str) -> Simulator:
     spec, names = _random_chain_spec(rng)
     ops = set(rng.sample(names, rng.randint(1, 2)))
     t = rng.uniform(0.05, 0.3)
-    sim = cls(spec, record="all", sink_log=True)
+    sim = cls(spec)
     sim.start()
     sim.run(until=t)
     if marker == "checkpoint":
@@ -337,7 +342,7 @@ class HeapOnlySimulator(Simulator):
 def _observed(sim: Simulator):
     return (
         sim.apply_times,
-        sim.schedule_log.ops,
+        sim.op_log,
         sim.snapshots,
         sim.sink_log,
         {name: w.processed for name, w in sim.workers.items()},
@@ -361,7 +366,7 @@ def _halt_case_run(cls, wf: str, make, halted: bool, monkeypatch) -> tuple[Simul
         delay = experiments.run_delay(build, make(), ops, warmup=warmup, t_max=t_max)
         return sims[-1], delay
     scheduler = make()
-    sim = cls(build(), record="all", sink_log=True)
+    sim = cls(build())
     sim.start()
     sim.run(until=warmup)
     scheduler.request(sim, ops, warmup)
@@ -435,3 +440,65 @@ class TestSameTimeLane:
             sim.run(until=0.01)
         sim.run()
         assert sim.now > 0.02
+
+
+def _perfbench_flows(monkeypatch) -> dict:
+    """``FLOWS`` of the benchmark's ``perfbench/workloads.py``, which is a
+    script directory rather than a package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.FLOWS
+
+
+class TestRecording:
+    def test_record_takes_none_or_all(self):
+        for record in ("none", "all"):
+            assert Simulator(chain_spec(), record=record).record == record
+        for record in ("watched", "ALL", ""):
+            with pytest.raises(ValueError, match="record"):
+                Simulator(chain_spec(), record=record)
+
+    def test_none_logs_only_apply_times(self, monkeypatch):
+        """``run_delay`` records nothing but the apply times it measures."""
+        sim, delay = _halt_case_run(Simulator, "W2", FriesScheduler, True, monkeypatch)
+        _, ops, _, _ = HALT_CASES["W2"]
+        assert sim.record == "none" and math.isfinite(delay)
+        assert sim.op_log == [] and len(sim.schedule_log) == 0 and sim.sink_log == []
+        assert set(sim.apply_times) == sim.reconfig_workers(ops)
+
+    def test_all_logs_every_operation(self):
+        """One entry per data operation, one per update (under
+        ``UPDATE_TXN``), one sink arrival per tuple reaching the sink."""
+        sim = Simulator(chain_spec())
+        sim.start()
+        sim.run(until=0.02)
+        FriesScheduler().request(sim, {"A"}, sim.now)
+        sim.run()
+        assert len(sim.op_log) == sum(w.processed for w in sim.workers.values()) + 1
+        assert [(w, v) for _, w, txn, v in sim.op_log if txn == UPDATE_TXN] == [("A#0", 2)]
+        assert len(sim.sink_log) == 50
+        times = [t for t, _, _, _ in sim.op_log]
+        assert times == sorted(times)
+
+    def test_perfbench_flows_accepted(self, monkeypatch):
+        """The benchmark builds simulators with its flows' ``record`` values
+        and reads ``schedule_log`` with ``len`` and the checker."""
+        flows = _perfbench_flows(monkeypatch)
+        assert {flow.record for flow in flows.values()} <= {"none", "all"}
+        for flow in flows.values():
+            Simulator(chain_spec(), record=flow.record)
+        build, ops, _, t_max = HALT_CASES["W4"]
+        sim = Simulator(build(), record=flows["W4"].record)
+        scheduler = FriesScheduler()
+        sim.start()
+        sim.run(until=2.0)
+        scheduler.request(sim, ops, 2.0)
+        sim.run(until=t_max, halt_on_apply=lambda: scheduler.result(sim, 2.0).completed)
+        schedule = sim.schedule_log
+        assert isinstance(schedule, Schedule)
+        assert len(schedule) == len(sim.op_log) > 0
+        assert sum(isinstance(op, UpdateOp) for op in schedule) == len(sim.reconfig_workers(ops))
+        assert check(schedule).serializable

@@ -50,11 +50,11 @@ class TestMarkerFIFO:
     def test_data_behind_marker_processed_with_new_config(self):
         """After the swap, A's remaining backlog is processed at the new
         (cheap) cost, so the run finishes much earlier than without swap."""
-        sim1 = Simulator(slow_chain(), record="none", sink_log=True)
+        sim1 = Simulator(slow_chain())
         run_reconfig_experiment(sim1, FriesScheduler(), {"A"}, t_request=0.1, t_end=10_000)
         sim1.run()
         end_with_swap = max(t for t, _, _ in sim1.sink_log)
-        sim2 = Simulator(slow_chain(), record="none", sink_log=True)
+        sim2 = Simulator(slow_chain())
         sim2.start()
         sim2.run()
         end_without = max(t for t, _, _ in sim2.sink_log)
@@ -105,7 +105,7 @@ class TestAlignment:
     def test_consistency_under_alignment(self):
         from repro.core import check
 
-        sim = Simulator(self.two_path_spec(), record="watched", watched_ops={"M"})
+        sim = Simulator(self.two_path_spec())
         res = run_reconfig_experiment(
             sim, FriesScheduler(prune=False), {"M"}, t_request=0.4, t_end=200.0
         )
@@ -116,24 +116,24 @@ class TestAlignment:
 class TestMultiVersionTagging:
     def test_tuples_tagged_after_bump(self):
         spec = slow_chain(n=300)
-        sim = Simulator(spec, record="watched", watched_ops={"A", "B"})
+        sim = Simulator(spec)
         res = run_reconfig_experiment(
             sim, MultiVersionScheduler(), {"A", "B"}, t_request=0.3, t_end=100.0
         )
         assert res.completed
-        versions = {v for _, _, _, v in sim.data_log}
+        versions = {v for _, _, _, v in sim.op_log}
         assert versions == {1, 2}
 
     def test_old_tagged_tuples_use_old_config(self):
         """Tuples in flight at bump time keep version 1 end to end."""
         spec = slow_chain(n=300)
-        sim = Simulator(spec, record="watched", watched_ops={"A", "B"})
+        sim = Simulator(spec)
         run_reconfig_experiment(
             sim, MultiVersionScheduler(), {"A", "B"}, t_request=0.3, t_end=100.0
         )
-        # Per transaction: the set of versions used across A and B is a
+        # Per transaction: the set of versions used across all operators is a
         # singleton (that is the point of multi-version scheduling).
         by_txn: dict[int, set[int]] = {}
-        for _, _, txn, v in sim.data_log:
+        for _, _, txn, v in sim.op_log:
             by_txn.setdefault(txn, set()).add(v)
         assert all(len(vs) == 1 for vs in by_txn.values())

@@ -61,8 +61,8 @@ def fig8_spec() -> WorkflowSpec:
     return WorkflowSpec(dag=dag, ops=ops)
 
 
-def run(spec, scheduler, ops, *, t_req=0.3, t_end=200.0, watched=None):
-    sim = Simulator(spec, record="watched", watched_ops=watched or set(ops))
+def run(spec, scheduler, ops, *, t_req=0.3, t_end=200.0):
+    sim = Simulator(spec)
     res = run_reconfig_experiment(sim, scheduler, set(ops), t_request=t_req, t_end=t_end)
     return sim, res
 
@@ -146,6 +146,15 @@ class TestFriesScheduler:
         assert res.completed
         assert check(sim.schedule_log).serializable
         assert len(res.apply_times) == 6  # 3 FM + 3 MC workers
+
+    def test_second_request_raises(self):
+        """A worker applies one reconfiguration; a second request on the
+        same simulator raises instead of being dropped."""
+        sim, res = run(fig2_spec(), FriesScheduler(), {"FM"})
+        assert res.completed
+        FriesScheduler().request(sim, {"FM"}, sim.now)
+        with pytest.raises(RuntimeError, match="already applied"):
+            sim.run()
 
 
 class TestBroadcastPlanning:
@@ -231,6 +240,14 @@ class TestMultiVersionScheduler:
         _, r_fr = run(fig2_spec(), FriesScheduler(), {"FM", "MC"})
         assert r_mv.delay > 10 * r_fr.delay
 
+    def test_requires_recording(self):
+        """Completion is read from the operation log, which ``record="none"``
+        leaves empty: the request raises rather than never completing."""
+        sim = Simulator(fig2_spec(), record="none")
+        sim.start()
+        with pytest.raises(ValueError, match="record"):
+            MultiVersionScheduler().request(sim, {"FM", "MC"}, 0.0)
+
 
 def _random_chain_spec(rng: random.Random):
     """A random pipeline with optional fanout operator, random costs and
@@ -274,7 +291,7 @@ def test_fries_always_serializable_random(seed):
     spec, names = _random_chain_spec(rng)
     k = rng.randint(1, min(2, len(names)))
     ops = set(rng.sample(names, k))
-    sim = Simulator(spec, record="watched", watched_ops=ops)
+    sim = Simulator(spec)
     res = run_reconfig_experiment(
         sim, FriesScheduler(), ops,
         t_request=rng.uniform(0.05, 0.5), t_end=500.0,
@@ -290,7 +307,7 @@ def test_epoch_always_serializable_random(seed):
     rng = random.Random(seed)
     spec, names = _random_chain_spec(rng)
     ops = set(rng.sample(names, 1))
-    sim = Simulator(spec, record="watched", watched_ops=ops)
+    sim = Simulator(spec)
     res = run_reconfig_experiment(
         sim, EpochScheduler(), ops,
         t_request=rng.uniform(0.05, 0.5), t_end=500.0,

@@ -118,7 +118,7 @@ class TestRecovery:
         sim, coord, cid, workers = run_scenario("fries_safe")
         cid2 = coord.start_checkpoint(sim.now)
         sim.run(until=sim.now + 120.0)
-        sim2 = recover(fig7_spec(), sim.snapshots[cid2], sink_log=True)
+        sim2 = recover(fig7_spec(), sim.snapshots[cid2])
         sim2.start()
         sim2.run()
         assert len(sim2.sink_log) > 0

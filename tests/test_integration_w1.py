@@ -23,7 +23,7 @@ def surge_spec():
 
 
 def run(scheduler_cls, t_request):
-    sim = Simulator(surge_spec(), record="none", sink_log=True)
+    sim = Simulator(surge_spec())
     sim.start()
     sim.run(until=t_request)
     sched = scheduler_cls()
@@ -39,7 +39,7 @@ def latency_series(sim):
 
 class TestSurgeMitigation:
     def test_latency_grows_without_reconfig(self):
-        sim = Simulator(surge_spec(), record="none", sink_log=True)
+        sim = Simulator(surge_spec())
         sim.start()
         sim.run()
         lat = latency_series(sim)
