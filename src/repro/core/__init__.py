@@ -3,7 +3,7 @@
 Pure, deterministic graph/transaction algorithms — no engine, no Spark.
 """
 from .dag import DAG, Operator, SubDAG, split_at_blocking
-from .fries import ReconfigPlan, plan_epoch, plan_general, plan_one_to_one
+from .fries import ReconfigPlan, plan_epoch, plan_general, plan_naive, plan_one_to_one
 from .mcs import brute_force_mcs, components, find_mcs, head_operators
 from .parallel import ParallelDataflow, channel_counts, expand
 from .pruning import (
@@ -32,6 +32,7 @@ __all__ = [
     "ReconfigPlan",
     "plan_epoch",
     "plan_general",
+    "plan_naive",
     "plan_one_to_one",
     "brute_force_mcs",
     "components",

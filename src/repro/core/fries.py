@@ -1,5 +1,5 @@
 """The Fries scheduler's planning side — Algorithms 2, 3 and 4 — plus the
-epoch-based (EBR) plan used by the baseline.
+plans of the epoch-based (EBR) and naive FCM baselines.
 
 Planning is pure graph computation: given the dataflow DAG and the set of
 reconfiguration operators, produce a :class:`ReconfigPlan` describing where
@@ -120,4 +120,21 @@ def plan_epoch(dag: DAG, reconfig_ops: Iterable[str]) -> ReconfigPlan:
         heads=(tuple(sorted(dag.sources())),),
         marker_edges=frozenset(dag.edges),
         longest_path=dag.longest_path_edges(),
+    )
+
+
+def plan_naive(dag: DAG, reconfig_ops: Iterable[str]) -> ReconfigPlan:
+    """The §4.1 naive scheduler in the same plan shape: every
+    reconfiguration operator is its own singleton component and head, in
+    topological order, so FCMs go straight to it and no marker travels."""
+    ops = frozenset(reconfig_ops)
+    order = [v for v in dag.topological_order() if v in ops]
+    return ReconfigPlan(
+        reconfig_ops=ops,
+        m=ops,
+        mcs=SubDAG(ops),
+        component_list=tuple(SubDAG(frozenset({v})) for v in order),
+        heads=tuple((v,) for v in order),
+        marker_edges=frozenset(),
+        longest_path=0,
     )

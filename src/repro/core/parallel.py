@@ -33,10 +33,6 @@ def worker_name(op: str, i: int) -> str:
     return f"{op}#{i}"
 
 
-def base_op(worker: str) -> str:
-    return worker.rsplit("#", 1)[0]
-
-
 def worker_pairs(
     edge: tuple[str, str], strategy: str, parallelism: dict[str, int]
 ) -> list[tuple[int, int]]:
@@ -87,10 +83,6 @@ class ParallelDataflow:
 
     def workers(self, op: str) -> list[str]:
         return [worker_name(op, i) for i in range(self.parallelism[op])]
-
-    def map_reconfig(self, reconfig_ops: frozenset[str] | set[str]) -> frozenset[str]:
-        """𝓡 → 𝓡*: a function update on o maps to updates on all workers."""
-        return frozenset(w for o in reconfig_ops for w in self.workers(o))
 
 
 def expand(

@@ -2,7 +2,7 @@
 pipelined dataflow engine (the paper's Flink testbed stand-in)."""
 from .channel import Channel
 from .faults import CheckpointCoordinator, recover, snapshot_consistent
-from .messages import CheckpointMarker, DataMsg, EpochMarker, FCM
+from .messages import DataMsg, EpochMarker, FCM
 from .schedulers import (
     EpochScheduler,
     FriesScheduler,
@@ -21,7 +21,6 @@ __all__ = [
     "CheckpointCoordinator",
     "recover",
     "snapshot_consistent",
-    "CheckpointMarker",
     "DataMsg",
     "EpochMarker",
     "FCM",

@@ -1,7 +1,9 @@
 """§7.3 — fault tolerance under the Fries scheduler.
 
-Checkpoints are taken with globally aligned checkpoint markers (epoch-based
-checkpointing [6,7]); each worker snapshots its configuration version when
+Checkpoints are taken with globally aligned epoch markers (epoch-based
+checkpointing [6,7]): an :class:`EpochMarker` over every edge with its
+``ckpt_id`` set, opened at the sources by a ``start_markers`` FCM like any
+plan head's marker; each worker snapshots its configuration version when
 aligned. A snapshot is *consistent* for a reconfiguration iff every
 reconfiguration worker recorded the same version — otherwise recovery would
 resurrect a half-updated dataflow (the paper's F-old/G-new anomaly).
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .messages import CheckpointMarker, FCM
+from .messages import EpochMarker, FCM
 from .simulator import Simulator
 from .workload import WorkflowSpec
 
@@ -53,10 +55,16 @@ class CheckpointCoordinator:
         cid = self._next_id
         start = max(t, self._blocked_until)
         self.records[cid] = CheckpointRecord(cid, start)
-        marker = CheckpointMarker(cid)
-        for op in self.sim.spec.dag.sources():
+        dag = self.sim.spec.dag
+        marker = EpochMarker(
+            scope_id=f"ckpt-{cid}",
+            edges=frozenset(dag.edges),
+            reconfig_workers=frozenset(),
+            ckpt_id=cid,
+        )
+        for op in dag.sources():
             for w in self.sim.by_op[op]:
-                self.sim.send_fcm(w.name, FCM("inject_ckpt", marker), at=start)
+                self.sim.send_fcm(w.name, FCM("start_markers", marker), at=start)
         return cid
 
     def on_reconfig_request(self, t: float, fcm_delivery_time: float) -> None:

@@ -1,9 +1,9 @@
 """Message types exchanged in the simulated engine.
 
-Data messages and epoch/checkpoint markers travel through FIFO data
-channels (markers cannot overtake data — the source of epoch-based
-reconfiguration delay). FCMs (Def 4.1) travel on the control plane and are
-delivered to a worker with a small fixed latency, never queued behind data.
+Data messages and epoch markers travel through FIFO data channels
+(markers cannot overtake data — the source of epoch-based reconfiguration
+delay). FCMs (Def 4.1) travel on the control plane and are delivered to a
+worker with a small fixed latency, never queued behind data.
 """
 from __future__ import annotations
 
@@ -29,25 +29,21 @@ class EpochMarker:
 
     ``scope_id`` identifies the synchronization round; ``edges`` are the
     *logical* edges (src_op, dst_op) in scope — the marker is aligned and
-    forwarded on every worker channel of each (§8.1; the whole DAG for EBR,
-    one MCS component for Fries); ``reconfig_workers`` apply the
-    piggybacked reconfiguration when aligned."""
+    forwarded on every worker channel of each (§8.1; the whole DAG for EBR
+    and checkpoints, one MCS component for Fries, none for NaiveFCM);
+    ``reconfig_workers`` apply the piggybacked reconfiguration when
+    aligned. A checkpoint barrier (§7.3) sets ``ckpt_id``: every worker
+    snapshots its configuration version when aligned."""
 
     scope_id: str
     edges: frozenset[tuple[str, str]]
     reconfig_workers: frozenset[str]
-
-
-@dataclass
-class CheckpointMarker:
-    """A checkpoint barrier (§7.3); globally aligned like an EBR marker."""
-
-    ckpt_id: int
+    ckpt_id: int | None = None
 
 
 @dataclass
 class FCM:
     """A fast control message from the controller to one worker."""
 
-    kind: str  # "apply" | "start_markers" | "inject_ckpt" | "register" | "bump_version"
+    kind: str  # "start_markers" (plan heads) | "register" | "bump_version" (multi-version)
     payload: Any = None

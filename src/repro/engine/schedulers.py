@@ -2,10 +2,10 @@
 
 Each scheduler issues controller actions for a reconfiguration request at
 time ``t`` and defines how the reconfiguration delay is measured. Fries,
-EBR and savepoint share one runtime, :func:`start_plan`: FCMs to every
-worker of each component's head operators, then epoch markers on the
-worker channels of the component's logical edges. They differ only in the
-plan it is fed:
+EBR, savepoint and NaiveFCM share one runtime, :func:`start_plan`: FCMs to
+every worker of each component's head operators, then epoch markers on the
+worker channels of the component's logical edges. They share one delay
+measure, :meth:`PlanScheduler.result`, and differ only in the plan:
 
 * :class:`FriesScheduler` — Algorithms 2/3/4 planned on the *logical* DAG
   with §7.2's broadcast adjustment: markers only inside MCS components.
@@ -14,8 +14,10 @@ plan it is fed:
 * :class:`SavepointScheduler` — Flink stop-and-restart: the EBR plan with
   the sinks added to the reconfiguration set, plus a fixed stop/restart
   overhead.
-* :class:`NaiveFCMScheduler` — FCMs straight to the reconfiguration
-  workers; low delay but not conflict-serializable (§4.1).
+* :class:`NaiveFCMScheduler` — ``plan_naive``: every reconfiguration
+  operator a singleton component and its own head, so FCMs go straight to
+  its workers and no marker travels; low delay but not
+  conflict-serializable (§4.1).
 * :class:`MultiVersionScheduler` — the FCM multi-version scheduler (§4.1):
   consistent, but old-version in-flight tuples still processed under the
   old configuration, and double state.
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.dag import DAG
-from repro.core.fries import ReconfigPlan, plan_epoch, plan_general
+from repro.core.fries import ReconfigPlan, plan_epoch, plan_general, plan_naive
 from repro.core.parallel import broadcast_adjusted
 from repro.core.transactions import UPDATE_TXN
 
@@ -52,18 +54,6 @@ class ReconfigResult:
     plan: ReconfigPlan | None = None
 
 
-def _measure(sim: Simulator, workers: frozenset[str], t_req: float, plan=None) -> ReconfigResult:
-    times = {w: sim.apply_times[w] for w in workers if w in sim.apply_times}
-    done = len(times) == len(workers)
-    return ReconfigResult(
-        request_time=t_req,
-        apply_times=times,
-        delay=(max(times.values()) - t_req) if done else math.inf,
-        completed=done,
-        plan=plan,
-    )
-
-
 def start_plan(sim: Simulator, plan: ReconfigPlan, t: float, tag: str) -> None:
     """Run ``plan`` from time ``t``: one marker per component, delivered by a
     ``start_markers`` FCM to every worker of the component's head operators
@@ -80,7 +70,28 @@ def start_plan(sim: Simulator, plan: ReconfigPlan, t: float, tag: str) -> None:
                 sim.send_fcm(w.name, FCM("start_markers", marker), at=t + sim.spec.fcm_latency)
 
 
-class FriesScheduler:
+class PlanScheduler:
+    """A scheduler whose ``request`` sets :attr:`plan` and runs it with
+    :func:`start_plan`. The delay is measured to the last apply among the
+    workers of the plan's reconfiguration operators. Every subclass defines
+    its own ``request``."""
+
+    plan: ReconfigPlan | None = None
+
+    def result(self, sim: Simulator, t: float) -> ReconfigResult:
+        workers = sim.reconfig_workers(self.plan.reconfig_ops)
+        times = {w: sim.apply_times[w] for w in workers if w in sim.apply_times}
+        done = len(times) == len(workers)
+        return ReconfigResult(
+            request_time=t,
+            apply_times=times,
+            delay=(max(times.values()) - t) if done else math.inf,
+            completed=done,
+            plan=self.plan,
+        )
+
+
+class FriesScheduler(PlanScheduler):
     """Fries runtime (§5.3/§6.2/§6.3/§7.2).
 
     The plan (MCS, components, heads) is computed on the *logical* DAG with
@@ -92,29 +103,19 @@ class FriesScheduler:
 
     def __init__(self, *, prune: bool = True) -> None:
         self.prune = prune
-        self.plan: ReconfigPlan | None = None
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
         self.plan = plan_general(effective_logical_dag(sim.spec), reconfig_ops, prune=self.prune)
         start_plan(sim, self.plan, t, "fries")
 
-    def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        return _measure(sim, sim.reconfig_workers(self.plan.reconfig_ops), t, self.plan)
 
-
-class EpochScheduler:
+class EpochScheduler(PlanScheduler):
     """EBR baseline: a new epoch at every source, global alignment, the
     reconfiguration piggybacked on the markers."""
-
-    def __init__(self) -> None:
-        self.plan: ReconfigPlan | None = None
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
         self.plan = plan_epoch(sim.spec.dag, reconfig_ops)
         start_plan(sim, self.plan, t, "ebr")
-
-    def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        return _measure(sim, sim.reconfig_workers(self.plan.reconfig_ops), t, self.plan)
 
 
 class SavepointScheduler(EpochScheduler):
@@ -122,7 +123,6 @@ class SavepointScheduler(EpochScheduler):
     whole old epoch must drain) plus a fixed stop/restart overhead."""
 
     def __init__(self, stop_restart_cost: float = 10.0) -> None:
-        super().__init__()
         self.stop_restart_cost = stop_restart_cost
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
@@ -138,20 +138,12 @@ class SavepointScheduler(EpochScheduler):
         return r
 
 
-class NaiveFCMScheduler:
+class NaiveFCMScheduler(PlanScheduler):
     """§4.1 naive scheduler: FCM directly to each reconfiguration worker."""
 
-    def __init__(self) -> None:
-        self._workers: frozenset[str] = frozenset()
-
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
-        workers = sim.reconfig_workers(reconfig_ops)
-        self._workers = workers
-        for w in workers:
-            sim.send_fcm(w, FCM("apply"), at=t + sim.spec.fcm_latency)
-
-    def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        return _measure(sim, self._workers, t)
+        self.plan = plan_naive(sim.spec.dag, reconfig_ops)
+        start_plan(sim, self.plan, t, "naive")
 
 
 class MultiVersionScheduler:

@@ -15,9 +15,9 @@ to channel backpressure, and participates in the control protocols:
   channel and waits for markers on every in-scope input (epoch alignment,
   §3.1); on full alignment it applies the piggybacked reconfiguration (if
   targeted), forwards the marker on its in-scope output channels, and
-  unblocks. A plan head opens the epoch the same way on its FCM.
-* **Checkpoint markers** align globally and snapshot the worker's
-  configuration version (§7.3).
+  unblocks. A plan head opens the epoch the same way on its FCM. A
+  checkpoint is an epoch marker over every edge that also snapshots the
+  worker's configuration version (§7.3).
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from repro.core.parallel import worker_name
 
 from .channel import Channel
-from .messages import CheckpointMarker, DataMsg, EpochMarker, FCM
+from .messages import DataMsg, EpochMarker, FCM
 from .workload import OpSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,9 +66,9 @@ class Worker:
         self.state = "idle"  # idle | busy | blocked
         self._pending: list[tuple[Channel, DataMsg]] = []
         self._dispatch_scheduled = False
-        # Marker alignment: scope_id (epoch) or ckpt_id (checkpoint) ->
-        # the input channels its marker has arrived on, blocked meanwhile.
-        self._aligning: dict[str | int, list[Channel]] = {}
+        # Marker alignment: scope_id -> the input channels its marker has
+        # arrived on, blocked meanwhile.
+        self._aligning: dict[str, list[Channel]] = {}
         # Self-join per-transaction arrival counts.
         self._sj_state: dict[int, int] = {}
         self.processed = 0
@@ -92,14 +92,9 @@ class Worker:
         processing of a tuple and markers stay FIFO behind sent data."""
         while self.control:
             fcm = self.control.popleft()
-            if fcm.kind == "apply":
-                self._apply_reconfig()
-            elif fcm.kind == "start_markers":
-                # Plan head: open the component's epoch (Fries, EBR, savepoint).
+            if fcm.kind == "start_markers":
+                # Plan head: open the component's epoch.
                 self._open_epoch(fcm.payload)
-            elif fcm.kind == "inject_ckpt":
-                self._ckpt_snapshot(fcm.payload)
-                self._forward_all(fcm.payload)
             elif fcm.kind == "register":
                 self.multiversion = True
             elif fcm.kind == "bump_version":
@@ -115,19 +110,17 @@ class Worker:
         self.sim.log_update(self.name, self.version)
 
     def _open_epoch(self, marker: EpochMarker) -> None:
-        """Apply the piggybacked reconfiguration if targeted, then send the
-        marker on every channel of the in-scope out-edges."""
+        """Apply the piggybacked reconfiguration if targeted, snapshot if
+        the marker is a checkpoint, then send the marker on every channel
+        of the in-scope out-edges."""
         if self.name in marker.reconfig_workers:
             self._apply_reconfig()
+        if marker.ckpt_id is not None:
+            self.sim.log_snapshot(marker.ckpt_id, self.name, self.version)
         for dst_op, _, channels in self.out:
             if (self.op.name, dst_op) in marker.edges:
                 for ch in channels:
                     ch.send(marker)
-
-    def _forward_all(self, msg) -> None:
-        for _, _, channels in self.out:
-            for ch in channels:
-                ch.send(msg)
 
     # ------------------------------------------------------------------
     # data plane
@@ -154,10 +147,8 @@ class Worker:
                 heapq.heappop(self.ready)
             if isinstance(msg, DataMsg):
                 self._start_processing(msg)
-            elif isinstance(msg, EpochMarker):
+            else:
                 self._on_marker(ch, msg)
-            elif isinstance(msg, CheckpointMarker):
-                self._on_ckpt(ch, msg)
 
     def _next_channel(self) -> Channel | None:
         """The non-blocked, non-empty input whose head arrived first (heads
@@ -246,10 +237,7 @@ class Worker:
             ch.send(m)
         self._pending = []
         self.state = "idle"
-        if self.op.kind == "source":
-            self._schedule_next_emit()
-        else:
-            self.notify()
+        self.notify()
 
     def on_channel_freed(self, channel: Channel) -> None:
         if self.state == "blocked" and self._pending:
@@ -260,37 +248,21 @@ class Worker:
     # ------------------------------------------------------------------
     # epoch markers
     # ------------------------------------------------------------------
-    def _aligned(self, key: str | int, ch: Channel, expected: int) -> bool:
-        """Block ``ch`` until the marker ``key`` has arrived on ``expected``
-        inputs; then unblock them all and return True."""
+    def _on_marker(self, ch: Channel, marker: EpochMarker) -> None:
+        """Block ``ch`` until the marker has arrived on every in-scope
+        input; then unblock them all and open the epoch."""
         ch.blocked = True
-        arrived = self._aligning.setdefault(key, [])
+        arrived = self._aligning.setdefault(marker.scope_id, [])
         arrived.append(ch)
+        expected = sum((c.src.op.name, self.op.name) in marker.edges for c in self.inputs)
         if len(arrived) < expected:
-            return False
-        for c in self._aligning.pop(key):
+            return
+        for c in self._aligning.pop(marker.scope_id):
             c.blocked = False
             if c.queue:
                 heapq.heappush(self.ready, (c.queue[0][0], c.index))
-        return True
-
-    def _on_marker(self, ch: Channel, marker: EpochMarker) -> None:
-        expected = sum((c.src.op.name, self.op.name) in marker.edges for c in self.inputs)
-        if self._aligned(marker.scope_id, ch, expected):
-            self._open_epoch(marker)
-            self.notify()
-
-    # ------------------------------------------------------------------
-    # checkpoint markers
-    # ------------------------------------------------------------------
-    def _on_ckpt(self, ch: Channel, marker: CheckpointMarker) -> None:
-        if self._aligned(marker.ckpt_id, ch, len(self.inputs)):
-            self._ckpt_snapshot(marker)
-            self._forward_all(marker)
-            self.notify()
-
-    def _ckpt_snapshot(self, marker: CheckpointMarker) -> None:
-        self.sim.log_snapshot(marker.ckpt_id, self.name, self.version)
+        self._open_epoch(marker)
+        self.notify()
 
     # ------------------------------------------------------------------
     # source behaviour
@@ -345,8 +317,6 @@ class Worker:
         self._schedule_next_emit()
 
     def _schedule_next_emit(self) -> None:
-        if self.op.kind != "source":
-            return
         if self.op.n_tuples is not None and self._emitted >= self.op.n_tuples:
             return
         rate = self.op.rate_at(self.sim.now)

@@ -1,12 +1,16 @@
 """Scheduler tests on the simulated engine: consistency (conflict-
 serializability of recorded schedules) and delay ordering for all five
 runtime schedulers."""
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import check
 from repro.core.dag import DAG
 from repro.engine import (
@@ -61,6 +65,19 @@ def fig8_spec() -> WorkflowSpec:
     return WorkflowSpec(dag=dag, ops=ops)
 
 
+# W5 at p=2, NaiveFCM on four operators: many same-time FCM deliveries.
+NAIVE_W5_OP_LOG = """
+from repro.engine import NaiveFCMScheduler, Simulator
+from repro.workflows import defs
+sim = Simulator(defs.w5(parallelism=2))
+sim.start()
+sim.run(until=1.0)
+NaiveFCMScheduler().request(sim, {"FD3", "FD4", "SJ", "E1"}, 1.0)
+sim.run(until=1.1)
+print(sim.op_log)
+"""
+
+
 def run(spec, scheduler, ops, *, t_req=0.3, t_end=200.0):
     sim = Simulator(spec)
     res = run_reconfig_experiment(sim, scheduler, set(ops), t_request=t_req, t_end=t_end)
@@ -78,6 +95,22 @@ class TestNaiveScheduler:
     def test_fast_delay(self):
         sim, res = run(fig2_spec(), NaiveFCMScheduler(), {"FM", "MC"})
         assert res.delay < 0.1
+
+    def test_op_log_independent_of_hash_seed(self):
+        """FCMs go out in plan order, not in the iteration order of a set of
+        worker names, so the run does not depend on ``PYTHONHASHSEED``."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        logs = [
+            subprocess.run(
+                [sys.executable, "-c", NAIVE_W5_OP_LOG],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert logs[0].count(", -1, 2)") == 8  # every FD3/FD4/SJ/E1 worker updated
+        assert logs[0] == logs[1]
 
     def test_safe_on_split_paths(self):
         """Example 5.3 / Figure 6: reconfiguring C and D on disjoint paths

@@ -3,9 +3,12 @@ example and evaluation-table MCS column in the paper."""
 import pytest
 
 from repro.core.dag import DAG
-from repro.core.fries import plan_epoch, plan_general, plan_one_to_one
+from repro.core.fries import plan_epoch, plan_general, plan_naive, plan_one_to_one
+from repro.engine import NaiveFCMScheduler, Simulator
 from repro.engine.schedulers import effective_logical_dag
 from repro.workflows import defs
+
+from .test_engine_schedulers import fig2_spec
 
 
 def fig5_dag() -> DAG:
@@ -191,3 +194,23 @@ class TestEpochPlan:
         assert set(plan.mcs.vertices) == set(d.vertices)
         assert plan.heads == (("A", "B"),)
         assert plan.marker_edges == frozenset(d.edges)
+
+
+class TestNaivePlan:
+    def test_connected_ops_are_separate_singletons(self):
+        """§4.1: FCMs straight to FM and MC, although FM→MC is an edge —
+        one singleton component per operator, in topological order, no
+        markers."""
+        spec = fig2_spec()
+        plan = plan_naive(spec.dag, {"MC", "FM"})
+        assert [sorted(c.vertices) for c in plan.component_list] == [["FM"], ["MC"]]
+        assert plan.heads == (("FM",), ("MC",))
+        assert plan.marker_edges == frozenset()
+        assert all(not c.edges for c in plan.component_list)
+        assert plan.longest_path == 0
+
+    def test_scheduler_keeps_its_plan(self):
+        sim = Simulator(fig2_spec(), record="none")
+        sched = NaiveFCMScheduler()
+        sched.request(sim, {"FM", "MC"}, 0.0)
+        assert sched.plan == plan_naive(sim.spec.dag, {"FM", "MC"})

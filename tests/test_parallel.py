@@ -15,6 +15,11 @@ def w2_logical():
     )
 
 
+def map_reconfig(pdf, reconfig_ops) -> frozenset[str]:
+    """𝓡 → 𝓡*: a function update on o maps to updates on all its workers."""
+    return frozenset(w for o in reconfig_ops for w in pdf.workers(o))
+
+
 W2_STRATEGIES = {
     ("src", "J1"): "hash",
     ("J1", "J2"): "hash",
@@ -89,7 +94,12 @@ class TestExpand:
     def test_map_reconfig(self):
         d = w2_logical()
         pdf = expand(d, {o: 2 for o in d.vertices}, W2_STRATEGIES)
-        assert pdf.map_reconfig({"J1"}) == frozenset({"J1#0", "J1#1"})
+        assert map_reconfig(pdf, {"J1"}) == frozenset({"J1#0", "J1#1"})
+        # G*'s worker names are the engine's: 𝓡* is what it reconfigures.
+        spec = defs.w2(parallelism=3)
+        pdf = expand(spec.dag, spec.parallelism(), spec.strategies())
+        sim = Simulator(spec, record="none")
+        assert map_reconfig(pdf, {"J1", "J4"}) == sim.reconfig_workers({"J1", "J4"})
 
 
 def forward_broadcast_spec(*, parallelism: int) -> WorkflowSpec:
@@ -156,7 +166,7 @@ class TestWorkerLevelPlanning:
         """§7.2: the Fries scheduler can run on G* with 𝓡* directly."""
         spec = defs.w2(parallelism=3)
         pdf = expand(spec.dag, spec.parallelism(), spec.strategies())
-        plan = plan_general(pdf.dag, pdf.map_reconfig({"J1", "J4"}))
+        plan = plan_general(pdf.dag, map_reconfig(pdf, {"J1", "J4"}))
         assert len(plan.component_list) == 1
         comp_ops = {v.rsplit("#", 1)[0] for v in plan.component_list[0].vertices}
         assert comp_ops == {"J1", "J2", "J3", "J4"}
@@ -164,5 +174,5 @@ class TestWorkerLevelPlanning:
     def test_worker_plan_heads_are_j1_workers(self):
         spec = defs.w2(parallelism=3)
         pdf = expand(spec.dag, spec.parallelism(), spec.strategies())
-        plan = plan_general(pdf.dag, pdf.map_reconfig({"J1", "J4"}))
+        plan = plan_general(pdf.dag, map_reconfig(pdf, {"J1", "J4"}))
         assert set(plan.heads[0]) == {"J1#0", "J1#1", "J1#2"}
