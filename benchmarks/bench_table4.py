@@ -16,7 +16,7 @@ OUT = pathlib.Path(__file__).parent / "out"
 
 def test_table4_delays(benchmark):
     rows = benchmark.pedantic(
-        lambda: table4_rows(parallelism=4, rate=8000.0, warmup=12.0, t_max=300.0),
+        lambda: table4_rows(parallelism=4, rate=8000.0),
         rounds=1,
         iterations=1,
     )

@@ -11,7 +11,7 @@ OUT = pathlib.Path(__file__).parent / "out"
 
 def test_table5_delays(benchmark):
     rows = benchmark.pedantic(
-        lambda: table5_rows(parallelism=4, rate=40.0, fanout=12, warmup=60.0, t_max=2000.0),
+        lambda: table5_rows(parallelism=4, fanout=12),
         rounds=1,
         iterations=1,
     )

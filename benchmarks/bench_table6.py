@@ -10,7 +10,7 @@ OUT = pathlib.Path(__file__).parent / "out"
 
 def test_table6_pruning(benchmark):
     rows = benchmark.pedantic(
-        lambda: table6_rows(parallelism=4, rate=300.0, warmup=60.0, t_max=2000.0),
+        lambda: table6_rows(),
         rounds=1,
         iterations=1,
     )

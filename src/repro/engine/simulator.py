@@ -151,10 +151,10 @@ class Simulator:
     # ------------------------------------------------------------------
     # controller-side helpers
     # ------------------------------------------------------------------
-    def send_fcm(self, worker: str, fcm: FCM, at: float | None = None) -> None:
-        """Deliver an FCM to ``worker`` over the control plane."""
-        t = self.now + self.spec.fcm_latency if at is None else at
-        self.schedule(t, self.workers[worker].on_fcm, fcm)
+    def send_fcm(self, worker: str, fcm: FCM, at: float) -> None:
+        """Deliver an FCM to ``worker`` at time ``at``; the caller adds the
+        control-plane latency (``spec.fcm_latency``)."""
+        self.schedule(at, self.workers[worker].on_fcm, fcm)
 
     def reconfig_workers(self, reconfig_ops: Iterable[str]) -> frozenset[str]:
         """𝓡 → 𝓡*: a function update on o maps to updates on all workers."""

@@ -20,10 +20,10 @@ from repro.core.dag import DAG
 
 # Emission kinds, with their operator-class semantics:
 #   source     — emits per rate schedule (one-to-one)
-#   map        — 1 tuple in, 1 out on each logical out-edge? NO: on edge 0
+#   map        — 1 tuple in, 1 out, emitted on out-edge 0 only
 #   filter     — 0/1 out (selectivity), one-to-one
 #   split      — routes to exactly one out-edge by key hash, one-to-one
-#   union      — pass-through, one-to-one
+#   union      — pass-through, one-to-one, emitted on out-edge 0 only
 #   join       — k outputs per input (fanout), one-to-many when fanout>1
 #   replicate  — 1 output on *each* out-edge (edge-wise one-to-one)
 #   selfjoin   — stateful: emits one combined tuple once `arity` copies of a

@@ -11,7 +11,6 @@ absolute values differ; the shape criteria are listed in DESIGN.md §5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.fries import ReconfigPlan, plan_general
@@ -84,14 +83,14 @@ PAPER_TABLE4 = [
     ("W3", ("J5", "J6", "J7", "J9"), "{*J5*, *J6*, *J7*, U1, J8, J9}", 4, 526, 19_717),
     ("W3", ("J7", "J8", "J9"), "{*J7*, U1, J8, J9}", 3, 1_340, 20_532),
 ]
+# Virtual seconds of warm-up before each request, and the run's horizon.
+TABLE4_WARMUP, TABLE4_T_MAX = 12.0, 300.0
 
 
 def table4_rows(
     *,
     parallelism: int = 4,
     rate: float = 8000.0,
-    warmup: float = 12.0,
-    t_max: float = 300.0,
     w2_selectivity: dict[str, float] | None = None,
     w3_selectivity: dict[str, float] | None = None,
 ) -> list[dict]:
@@ -106,8 +105,10 @@ def table4_rows(
     for wf, ops, p_mcs, p_len, p_fries, p_epoch in PAPER_TABLE4:
         build = builders[wf]
         plan = plan_of(build(), set(ops))
-        fries = run_delay(build, FriesScheduler(), set(ops), warmup=warmup, t_max=t_max)
-        epoch = run_delay(build, EpochScheduler(), set(ops), warmup=warmup, t_max=t_max)
+        fries = run_delay(build, FriesScheduler(), set(ops),
+                          warmup=TABLE4_WARMUP, t_max=TABLE4_T_MAX)
+        epoch = run_delay(build, EpochScheduler(), set(ops),
+                          warmup=TABLE4_WARMUP, t_max=TABLE4_T_MAX)
         rows.append(
             {
                 "workflow": wf,
@@ -134,27 +135,24 @@ PAPER_TABLE5 = [
     (("FD1",), "{*U2*, FD1}", 1, 47_892, 131_103),
     (("F2",), "{*U2*, FD1, FD2, F2}", 5, 221_353, 236_153),
 ]
+TABLE5_WARMUP, TABLE5_T_MAX = 60.0, 2000.0
 
 
-def table5_rows(
-    *,
-    parallelism: int = 4,
-    rate: float = 40.0,
-    fanout: int = 12,
-    warmup: float = 60.0,
-    t_max: float = 2000.0,
-) -> list[dict]:
-    """Reproduce Table 5: delays in W4 (dataset-2 analogue); FD1/FD2 are
-    the slow inference operators, U2 the one-to-many unnest."""
+def table5_rows(*, parallelism: int = 4, fanout: int = 12) -> list[dict]:
+    """Reproduce Table 5: delays in W4 (dataset-2 analogue) at its default
+    rate; FD1/FD2 are the slow inference operators, U2 the one-to-many
+    unnest."""
     rows = []
 
     def build() -> WorkflowSpec:
-        return defs.w4(parallelism=parallelism, rate=rate, fanout=fanout)
+        return defs.w4(parallelism=parallelism, fanout=fanout)
 
     for ops, p_mcs, p_len, p_fries, p_epoch in PAPER_TABLE5:
         plan = plan_of(build(), set(ops))
-        fries = run_delay(build, FriesScheduler(), set(ops), warmup=warmup, t_max=t_max)
-        epoch = run_delay(build, EpochScheduler(), set(ops), warmup=warmup, t_max=t_max)
+        fries = run_delay(build, FriesScheduler(), set(ops),
+                          warmup=TABLE5_WARMUP, t_max=TABLE5_T_MAX)
+        epoch = run_delay(build, EpochScheduler(), set(ops),
+                          warmup=TABLE5_WARMUP, t_max=TABLE5_T_MAX)
         rows.append(
             {
                 "reconfig_ops": ", ".join(ops),
@@ -182,30 +180,21 @@ PAPER_TABLE6 = [
     (("FD3", "FD4"), "{*RE*, FD3, F4, FD4}", "{*RE*, FD3, F4, FD4}", 661_892, 663_460),
     (("E1",), "{E1}", "{*RE*, FD3, S1, F3, F4, FD4, SJ, E1}", 85, 1_122_686),
 ]
+TABLE6_WARMUP, TABLE6_T_MAX = 60.0, 2000.0
 
 
-def table6_rows(
-    *,
-    parallelism: int = 4,
-    rate: float = 300.0,
-    warmup: float = 60.0,
-    t_max: float = 2000.0,
-) -> list[dict]:
-    """Reproduce Table 6: the effect of §6.3 MCS pruning in W5."""
+def table6_rows() -> list[dict]:
+    """Reproduce Table 6: the effect of §6.3 MCS pruning in W5 (the
+    default ``defs.w5()`` spec)."""
     rows = []
-
-    def build() -> WorkflowSpec:
-        return defs.w5(parallelism=parallelism, rate=rate)
-
+    build = defs.w5
     for ops, p_mcs_p, p_mcs_np, p_fries_p, p_fries_np in PAPER_TABLE6:
         plan_p = plan_of(build(), set(ops), prune=True)
         plan_np = plan_of(build(), set(ops), prune=False)
-        d_p = run_delay(
-            build, FriesScheduler(prune=True), set(ops), warmup=warmup, t_max=t_max
-        )
-        d_np = run_delay(
-            build, FriesScheduler(prune=False), set(ops), warmup=warmup, t_max=t_max
-        )
+        d_p = run_delay(build, FriesScheduler(prune=True), set(ops),
+                        warmup=TABLE6_WARMUP, t_max=TABLE6_T_MAX)
+        d_np = run_delay(build, FriesScheduler(prune=False), set(ops),
+                         warmup=TABLE6_WARMUP, t_max=TABLE6_T_MAX)
         rows.append(
             {
                 "reconfig_ops": ", ".join(ops),

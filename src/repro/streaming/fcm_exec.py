@@ -22,14 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, StructField, StructType
 from pyspark.sql.window import Window
 
-from repro.ml import score_partition
-from repro.workflows.spark_queries import _model
+from repro.workflows.spark_queries import _with_scores
 
 RECONFIG_OPS = ("FD1", "FD2")
 
@@ -58,32 +55,6 @@ def epoch_schedule(txn_cut: int) -> SwapSchedule:
     return SwapSchedule(mode="epoch", txn_cut=txn_cut)
 
 
-def _dual_scores(df: DataFrame, *, key_col: str, out_prefix: str) -> DataFrame:
-    """Score every row under both configurations (v1 heavy AE, v2 light
-    AE); the swap predicate later picks the applicable one per row."""
-    m1, m2 = _model(1), _model(2)
-    schema = StructType(
-        list(df.schema.fields)
-        + [
-            StructField(f"{out_prefix}_v1", DoubleType(), False),
-            StructField(f"{out_prefix}_v2", DoubleType(), False),
-        ]
-    )
-
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        a = score_partition(
-            pdf, m1, window=10, key_col=key_col, amount_col="amount",
-            order_col="seq", out_col=f"{out_prefix}_v1",
-        )
-        b = score_partition(
-            a, m2, window=10, key_col=key_col, amount_col="amount",
-            order_col="seq", out_col=f"{out_prefix}_v2",
-        )
-        return b
-
-    return df.groupBy(key_col).applyInPandas(fn, schema=schema)
-
-
 def w4_with_swap(
     by_user: DataFrame, schedule: SwapSchedule, *, min_payments: int = 3
 ) -> DataFrame:
@@ -109,8 +80,10 @@ def w4_with_swap(
         F.col("p.amount").alias("amount"),
     )
     u2 = u2.withColumn("row_pos", F.row_number().over(Window.orderBy("seq")) - 1)
-    scored = _dual_scores(u2, key_col="txn", out_prefix="fd1")
-    scored = _dual_scores(scored, key_col="merchant_id", out_prefix="fd2")
+    # Every row is scored under both configurations (v1 heavy AE, v2 light
+    # AE); the swap predicate below picks the applicable one per row.
+    scored = _with_scores(u2, key_col="txn", scores={"fd1_v1": 1, "fd1_v2": 2})
+    scored = _with_scores(scored, key_col="merchant_id", scores={"fd2_v1": 1, "fd2_v2": 2})
 
     if schedule.mode == "naive":
         cuts = schedule.row_cuts or {}

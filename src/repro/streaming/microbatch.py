@@ -3,11 +3,11 @@ execution of workflow W1 on Spark with reconfiguration between epochs.
 
 The payment stream is processed one epoch (seq range) at a time; each epoch
 is a Spark DataFrame job running the FD scoring with the epoch's
-configuration version; the per-user last-``window`` state is carried across
-epochs (as the streaming operator would). A reconfiguration requested at
-stream position ``request_seq`` takes effect at the first epoch boundary
-after the request — giving the epoch scheduler's delay: all in-flight
-tuples of the current epoch are still processed under the old
+configuration version; the per-user last-``FD_WINDOW`` state is carried
+across epochs (as the streaming operator would). A reconfiguration
+requested at stream position ``request_seq`` takes effect at the first
+epoch boundary after the request — giving the epoch scheduler's delay: all
+in-flight tuples of the current epoch are still processed under the old
 configuration (§3.2).
 """
 from __future__ import annotations
@@ -18,16 +18,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    DoubleType,
-    IntegerType,
-    LongType,
-    StructField,
-    StructType,
-)
 
-from repro.ml import score_partition
-from repro.workflows.spark_queries import FRAUD_THRESHOLD, _model
+from repro.workflows.spark_queries import FD_WINDOW, FRAUD_THRESHOLD, _with_scores
 
 
 @dataclass
@@ -39,29 +31,15 @@ class MicrobatchRun:
     delay_tuples: int  # tuples processed old-config after the request
 
 
-_OUT_SCHEMA = StructType(
-    [
-        StructField("payment_id", LongType(), False),
-        StructField("seq", LongType(), False),
-        StructField("user_id", LongType(), False),
-        StructField("amount", DoubleType(), False),
-        StructField("is_hist", IntegerType(), False),
-        StructField("score", DoubleType(), False),
-    ]
-)
-
-
 def run_w1_microbatch(
     spark: SparkSession,
     payments: DataFrame,
     *,
     epoch_size: int,
     request_seq: int | None = None,
-    old_version: int = 1,
-    new_version: int = 2,
-    window: int = 10,
 ) -> MicrobatchRun:
-    """Run W1 epoch-at-a-time; apply the model swap between epochs."""
+    """Run W1 epoch-at-a-time; swap FD's model from v1 (heavy LSTM-AE) to
+    v2 (light) at the first epoch boundary after ``request_seq``."""
     base = payments.select("payment_id", "seq", "user_id", "amount").cache()
     n = base.count()
     n_epochs = int(np.ceil(n / epoch_size))
@@ -71,11 +49,11 @@ def run_w1_microbatch(
     history: dict[int, list[float]] = {}
     frames: list[pd.DataFrame] = []
     for epoch in range(n_epochs):
-        version = new_version if epoch >= apply_epoch else old_version
+        version = 2 if epoch >= apply_epoch else 1
         lo, hi = epoch * epoch_size, (epoch + 1) * epoch_size
         epoch_df = base.filter((F.col("seq") >= lo) & (F.col("seq") < hi))
         hist_rows = [
-            (0, lo - window + i - len(v), int(u), float(a), 1)
+            (0, lo - FD_WINDOW + i - len(v), int(u), float(a), 1)
             for u, v in history.items()
             for i, a in enumerate(v)
         ]
@@ -89,37 +67,28 @@ def run_w1_microbatch(
             staged = epoch_df.withColumn("is_hist", F.lit(0)).unionByName(hist_df)
         else:
             staged = epoch_df.withColumn("is_hist", F.lit(0))
-        model = _model(version)
-
-        def score_group(pdf: pd.DataFrame) -> pd.DataFrame:
-            return score_partition(
-                pdf, model, window=window, key_col="user_id",
-                amount_col="amount", order_col="seq",
-            )
-
         scored = (
-            staged.groupBy("user_id")
-            .applyInPandas(score_group, schema=_OUT_SCHEMA)
+            _with_scores(staged, key_col="user_id", scores={"score": version})
             .filter(F.col("is_hist") == 0)
             .toPandas()
         )
         scored["epoch"] = epoch
         scored["version"] = version
         frames.append(scored)
-        # Carry per-user state: last `window` amounts seen so far.
+        # Carry per-user state: last `FD_WINDOW` amounts seen so far.
         epoch_pd = scored.sort_values("seq")
         for u, grp in epoch_pd.groupby("user_id"):
             prev = history.get(int(u), [])
-            history[int(u)] = (prev + grp["amount"].tolist())[-window:]
+            history[int(u)] = (prev + grp["amount"].tolist())[-FD_WINDOW:]
     out = (
         pd.concat(frames, ignore_index=True)
         if frames
-        else pd.DataFrame(columns=[f.name for f in _OUT_SCHEMA.fields] + ["epoch", "version"])
+        else pd.DataFrame(columns=[*base.columns, "is_hist", "score", "epoch", "version"])
     )
     out["fraud"] = out["score"] > FRAUD_THRESHOLD
     out = out.drop(columns=["is_hist"]).sort_values("seq").reset_index(drop=True)
     delay_tuples = (
-        int(((out.seq >= request_seq) & (out.version == old_version)).sum())
+        int(((out.seq >= request_seq) & (out.version == 1)).sum())
         if request_seq is not None
         else 0
     )

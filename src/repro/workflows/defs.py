@@ -7,8 +7,14 @@ single 16-core machine (the paper used 40 workers/operator on a 10-node
 cluster); selectivities default to values profiled from the Spark
 implementations of the same workflows (``repro.workflows.profiles``).
 
-Every builder takes scale knobs so unit tests run tiny configurations and
-benchmarks run the calibrated ones.
+A builder takes only the options some caller sets: ``parallelism``,
+``rate`` and ``n_tuples`` (tests run tiny configurations; perfbench and
+``repro.experiments`` run the calibrated ones), ``selectivity`` for W2/W3
+(``jobs/run_table4.py --profile`` passes profiled values), ``fanout`` for
+W4 (``jobs/run_table5.py`` passes the profiled unnest fan-out), and W1's
+``capacity`` and ``rate_schedule`` (the §8.3 surge test). The rest of the
+calibration is written once, as the constants below or as literals in a
+builder's edge table.
 """
 from __future__ import annotations
 
@@ -18,10 +24,14 @@ from repro.engine.workload import EdgeSpec, KeyDist, OpSpec, WorkflowSpec
 # Per-tuple costs (seconds). The paper's LSTM-AE inference takes ~25 ms;
 # joins/filters are orders of magnitude cheaper.
 COST_LSTM = 0.025
+COST_LSTM_MERCHANT = 0.035  # FD2: 50 recent payments of state per merchant
 COST_LSTM_LIGHT = 0.005
 COST_TREE = 0.0005
 COST_JOIN = 0.001
 COST_CHEAP = 0.0001
+
+N_USERS = 2000  # W1/W4/W5 source keys
+N_JOIN_KEYS = 2000  # W2/W3 source and join keys
 
 
 def w1(
@@ -30,7 +40,6 @@ def w1(
     rate: float = 1000.0,
     n_tuples: int | None = None,
     capacity: int = 500,
-    n_users: int = 2000,
     rate_schedule: list[tuple[float, float]] | None = None,
 ) -> WorkflowSpec:
     """W1 — fraud detection: src → FD (user-based LSTM-AE) → sink.
@@ -45,7 +54,7 @@ def w1(
             rate=rate,
             rate_schedule=rate_schedule,
             n_tuples=n_tuples,
-            key_dist=KeyDist.zipf(n_users, alpha=1.1),
+            key_dist=KeyDist.zipf(N_USERS, alpha=1.1),
         ),
         "FD": OpSpec(
             "FD", kind="map", parallelism=parallelism,
@@ -72,10 +81,6 @@ def w2(
     parallelism: int = 4,
     rate: float = 8000.0,
     n_tuples: int | None = None,
-    capacity: int = 500,
-    src_capacity: int = 1500,
-    cost: float = COST_JOIN,
-    n_keys: int = 2000,
     selectivity: dict[str, float] | None = None,
 ) -> WorkflowSpec:
     """W2 — TPC-DS q40 probe chain: src → J1 → J2 → J3 → J4 → sink.
@@ -83,8 +88,9 @@ def w2(
     Four shuffle edges + one chained edge (pinned by Table 7). All joins
     are one-to-one (PK–FK). Each join repartitions on a new, skewed key.
     ``rate`` is the *total* ingestion rate (tuples/s across all source
-    workers); ``src_capacity`` models the source's deep read-ahead buffers
-    (the HDFS scan in the paper), which hold most in-flight data."""
+    workers). The source edge's deep buffer (1 500 vs 500) models the
+    source's read-ahead (the HDFS scan in the paper), which holds most
+    in-flight data."""
     sel = selectivity or W2_SELECTIVITY
     dag = DAG.from_edges(
         [("src", "J1"), ("J1", "J2"), ("J2", "J3"), ("J3", "J4"), ("J4", "sink")]
@@ -92,21 +98,19 @@ def w2(
     ops: dict[str, OpSpec] = {
         "src": OpSpec(
             "src", kind="source", parallelism=parallelism, rate=rate / parallelism,
-            n_tuples=n_tuples, key_dist=KeyDist.zipf(n_keys, alpha=1.05),
+            n_tuples=n_tuples, key_dist=KeyDist.zipf(N_JOIN_KEYS, alpha=1.05),
         ),
         "sink": OpSpec("sink", kind="sink", parallelism=parallelism),
     }
     for j in ("J1", "J2", "J3", "J4"):
         ops[j] = OpSpec(
-            j, kind="join", parallelism=parallelism, cost={1: cost},
-            selectivity=sel[j], fanout=1, out_key=KeyDist.zipf(n_keys, alpha=1.05),
+            j, kind="join", parallelism=parallelism, cost={1: COST_JOIN},
+            selectivity=sel[j], fanout=1, out_key=KeyDist.zipf(N_JOIN_KEYS, alpha=1.05),
         )
     edges = {
-        ("src", "J1"): EdgeSpec("hash", capacity=src_capacity),
-        ("J1", "J2"): EdgeSpec("hash", capacity=capacity),
-        ("J2", "J3"): EdgeSpec("hash", capacity=capacity),
-        ("J3", "J4"): EdgeSpec("hash", capacity=capacity),
-        ("J4", "sink"): EdgeSpec("forward", capacity=capacity),
+        e: EdgeSpec("forward" if e[1] == "sink" else "hash",
+                    capacity=1500 if e[0] == "src" else 500)
+        for e in dag.edges
     }
     return WorkflowSpec(dag=dag, ops=ops, edges=edges)
 
@@ -119,10 +123,6 @@ def w3(
     parallelism: int = 4,
     rate: float = 6000.0,
     n_tuples: int | None = None,
-    capacity: int = 500,
-    src_capacity: int = 800,
-    costs: dict[str, float] | None = None,
-    n_keys: int = 2000,
     selectivity: dict[str, float] | None = None,
 ) -> WorkflowSpec:
     """W3 — TPC-DS q71: three channel joins (web/catalog/store × date_dim)
@@ -134,7 +134,6 @@ def w3(
     the costliest join, keeping a moderate backlog on U1→J8 as the paper's
     choke-point analysis describes (§8.2)."""
     sel = selectivity or W3_SELECTIVITY
-    cost_of = costs or W3_COSTS
     dag = DAG.from_edges(
         [
             ("src_ws", "J5"),
@@ -157,19 +156,18 @@ def w3(
         ops[s] = OpSpec(
             s, kind="source", parallelism=parallelism,
             rate=rate * r / parallelism,
-            n_tuples=n_tuples, key_dist=KeyDist.zipf(n_keys, alpha=1.05),
+            n_tuples=n_tuples, key_dist=KeyDist.zipf(N_JOIN_KEYS, alpha=1.05),
         )
     for j in ("J5", "J6", "J7", "J8", "J9"):
         ops[j] = OpSpec(
-            j, kind="join", parallelism=parallelism, cost={1: cost_of[j]},
-            selectivity=sel[j], fanout=1, out_key=KeyDist.zipf(n_keys, alpha=1.05),
+            j, kind="join", parallelism=parallelism, cost={1: W3_COSTS[j]},
+            selectivity=sel[j], fanout=1, out_key=KeyDist.zipf(N_JOIN_KEYS, alpha=1.05),
         )
-    edges: dict[tuple[str, str], EdgeSpec] = {
-        e: EdgeSpec("hash", capacity=capacity) for e in dag.edges
+    edges = {
+        e: EdgeSpec("forward" if e[1] == "sink" else "hash",
+                    capacity=800 if e[0].startswith("src_") else 500)
+        for e in dag.edges
     }
-    for s, j in (("src_ws", "J5"), ("src_cs", "J6"), ("src_ss", "J7")):
-        edges[(s, j)] = EdgeSpec("hash", capacity=src_capacity)
-    edges[("J9", "sink")] = EdgeSpec("forward", capacity=capacity)
     return WorkflowSpec(dag=dag, ops=ops, edges=edges)
 
 
@@ -178,19 +176,14 @@ def w4(
     parallelism: int = 4,
     rate: float = 40.0,
     n_tuples: int | None = None,
-    capacity: int = 600,
-    fd_capacity: int = 4000,
     fanout: int = 12,
-    n_users: int = 2000,
-    fd_cost: float = COST_LSTM,
-    fd2_cost: float = 0.035,
 ) -> WorkflowSpec:
     """W4 — W1 plus a one-to-many unnest: src(users) → F1 (filter big
     payers) → U2 (unnest payments, one-to-many) → FD1 (user model) → FD2
     (merchant model, 50-recent state → heavier) → F2 (flag) → sink.
     Table 5's reconfigurations. The inference operators' input channels
-    (``fd_capacity``) are deep — that is where the standing backlog lives,
-    as in the paper's choke-point analysis (§8.2)."""
+    are deep (4 000 vs 600) — that is where the standing backlog lives, as
+    in the paper's choke-point analysis (§8.2)."""
     dag = DAG.from_edges(
         [
             ("src", "F1"),
@@ -205,25 +198,24 @@ def w4(
     ops = {
         "src": OpSpec(
             "src", kind="source", rate=rate, n_tuples=n_tuples,
-            key_dist=KeyDist.zipf(n_users, alpha=1.1),
+            key_dist=KeyDist.zipf(N_USERS, alpha=1.1),
         ),
         "F1": OpSpec("F1", kind="filter", parallelism=parallelism,
                      cost={1: COST_CHEAP}, selectivity=0.6),
         "U2": OpSpec("U2", kind="join", parallelism=parallelism,
                      cost={1: COST_CHEAP}, fanout=fanout,
-                     out_key=KeyDist.zipf(n_users, alpha=1.1)),
+                     out_key=KeyDist.zipf(N_USERS, alpha=1.1)),
         "FD1": OpSpec("FD1", kind="map", parallelism=parallelism,
-                      cost={1: fd_cost, 2: COST_LSTM_LIGHT}),
+                      cost={1: COST_LSTM, 2: COST_LSTM_LIGHT}),
         "FD2": OpSpec("FD2", kind="map", parallelism=parallelism,
-                      cost={1: fd2_cost, 2: COST_LSTM_LIGHT}),
+                      cost={1: COST_LSTM_MERCHANT, 2: COST_LSTM_LIGHT}),
         "F2": OpSpec("F2", kind="map", parallelism=parallelism, cost={1: COST_CHEAP}),
         "sink": OpSpec("sink", kind="sink"),
     }
-    edges: dict[tuple[str, str], EdgeSpec] = {
-        e: EdgeSpec("hash", capacity=capacity) for e in dag.edges
+    edges = {
+        e: EdgeSpec("hash", capacity=4000 if e[1] in ("FD1", "FD2") else 600)
+        for e in dag.edges
     }
-    edges[("U2", "FD1")] = EdgeSpec("hash", capacity=fd_capacity)
-    edges[("FD1", "FD2")] = EdgeSpec("hash", capacity=fd_capacity)
     return WorkflowSpec(dag=dag, ops=ops, edges=edges)
 
 
@@ -232,15 +224,11 @@ def w5(
     parallelism: int = 4,
     rate: float = 300.0,
     n_tuples: int | None = None,
-    capacity: int = 300,
-    fd_capacity: int = 20000,
-    n_users: int = 2000,
-    fd_cost: float = COST_LSTM,
 ) -> WorkflowSpec:
     """W5 — replicate + self-join: src → RE (replicate) → {FD3 → S1 → F3,
     F4 → FD4} → SJ (self-join on key, unique per txn) → E1 → sink.
     Table 6's pruning experiments. The slow inference operators' input
-    channels are deep (``fd_capacity``) so the standing backlog parks there
+    channels are deep (20 000 vs 300) so the standing backlog parks there
     and the cheap RE→F4 / RE→FD3 hops stay shallow, as in the paper's
     per-edge choke-point numbers (Figure 12)."""
     dag = DAG.from_edges(
@@ -262,11 +250,11 @@ def w5(
     ops = {
         "src": OpSpec(
             "src", kind="source", rate=rate, n_tuples=n_tuples,
-            key_dist=KeyDist.zipf(n_users, alpha=1.1),
+            key_dist=KeyDist.zipf(N_USERS, alpha=1.1),
         ),
         "RE": OpSpec("RE", kind="replicate", parallelism=parallelism, cost={1: COST_CHEAP}),
         "FD3": OpSpec("FD3", kind="map", parallelism=parallelism,
-                      cost={1: fd_cost, 2: COST_LSTM_LIGHT}),
+                      cost={1: COST_LSTM, 2: COST_LSTM_LIGHT}),
         "S1": OpSpec("S1", kind="map", parallelism=parallelism, cost={1: COST_CHEAP}),
         "F3": OpSpec("F3", kind="map", parallelism=parallelism, cost={1: COST_CHEAP}),
         "F4": OpSpec("F4", kind="map", parallelism=parallelism, cost={1: COST_CHEAP}),
@@ -274,15 +262,14 @@ def w5(
         # straggler creating the 877s choke point in §8.2; we place ours on
         # FD4 so the FD4 row exceeds the F3 row as in Table 6).
         "FD4": OpSpec("FD4", kind="map", parallelism=parallelism,
-                      cost={1: fd_cost, 2: COST_LSTM_LIGHT}, straggler={0: 1.3}),
+                      cost={1: COST_LSTM, 2: COST_LSTM_LIGHT}, straggler={0: 1.3}),
         "SJ": OpSpec("SJ", kind="selfjoin", parallelism=parallelism,
                      cost={1: COST_CHEAP}, arity=2),
         "E1": OpSpec("E1", kind="map", parallelism=parallelism, cost={1: COST_CHEAP}),
         "sink": OpSpec("sink", kind="sink"),
     }
-    edges: dict[tuple[str, str], EdgeSpec] = {
-        e: EdgeSpec("hash", capacity=capacity) for e in dag.edges
+    edges = {
+        e: EdgeSpec("hash", capacity=20000 if e[1] in ("FD3", "FD4") else 300)
+        for e in dag.edges
     }
-    edges[("RE", "FD3")] = EdgeSpec("hash", capacity=fd_capacity)
-    edges[("F4", "FD4")] = EdgeSpec("hash", capacity=fd_capacity)
     return WorkflowSpec(dag=dag, ops=ops, edges=edges)

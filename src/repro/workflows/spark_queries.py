@@ -15,7 +15,7 @@ cardinalities. Every relational query has a matching DuckDB SQL string
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, StructField, StructType
 
@@ -159,32 +159,35 @@ GROUP BY i_brand_id, i_brand, t_hour, t_minute
 # ---------------------------------------------------------------------------
 
 FRAUD_THRESHOLD = 0.5
+FD_WINDOW = 10  # payments of per-key state each FD model scores
 
 
 def _model(version: int, *, seed: int = 0):
     """Model registry for FD's configurations: v1 heavy LSTM-AE, v2 light
     LSTM-AE, v3 decision tree (the two §8.3 hot-swaps)."""
     if version == 1:
-        return RecurrentAutoencoder(window=10, hidden=64, seed=seed)
+        return RecurrentAutoencoder(window=FD_WINDOW, hidden=64, seed=seed)
     if version == 2:
-        return RecurrentAutoencoder(window=10, hidden=16, seed=seed)
+        return RecurrentAutoencoder(window=FD_WINDOW, hidden=16, seed=seed)
     return DecisionTree()
 
 
-def _with_scores(
-    df: DataFrame, *, version: int, key_col: str, out_col: str, window: int = 10
-) -> DataFrame:
-    """Per-key last-``window`` scoring via applyInPandas (the FD operator)."""
-    model = _model(version)
+def _with_scores(df: DataFrame, *, key_col: str, scores: dict[str, int]) -> DataFrame:
+    """Per-key last-``FD_WINDOW`` scoring via applyInPandas (the FD
+    operator). ``scores`` maps each output column to the model version
+    that fills it; all of them are scored in one pass over each group."""
+    models = {col: _model(version) for col, version in scores.items()}
     schema = StructType(
-        list(df.schema.fields) + [StructField(out_col, DoubleType(), False)]
+        list(df.schema.fields) + [StructField(col, DoubleType(), False) for col in models]
     )
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        return score_partition(
-            pdf, model, window=window, key_col=key_col,
-            amount_col="amount", order_col="seq", out_col=out_col,
-        )
+        for col, model in models.items():
+            pdf = score_partition(
+                pdf, model, window=FD_WINDOW, key_col=key_col,
+                amount_col="amount", order_col="seq", out_col=col,
+            )
+        return pdf
 
     return df.groupBy(key_col).applyInPandas(fn, schema=schema)
 
@@ -193,17 +196,14 @@ def w1_pipeline(payments: DataFrame, *, version: int = 1) -> DataFrame:
     """W1: score each payment with the user-based FD model, flag fraud."""
     scored = _with_scores(
         payments.select("payment_id", "seq", "user_id", "amount"),
-        version=version, key_col="user_id", out_col="score",
+        key_col="user_id", scores={"score": version},
     )
     return scored.withColumn("fraud", F.col("score") > FRAUD_THRESHOLD)
 
 
-def w4_pipeline(
-    by_user: DataFrame, *, min_payments: int = 3,
-    fd1_version: int = 1, fd2_version: int = 1,
-) -> DataFrame:
+def w4_pipeline(by_user: DataFrame, *, min_payments: int = 3) -> DataFrame:
     """W4: F1 filters big payers, U2 unnests payments (one-to-many), FD1
-    scores per user, FD2 per merchant, F2 flags."""
+    scores per user, FD2 per merchant (both with the v1 model), F2 flags."""
     f1 = by_user.filter(F.size("pays") >= min_payments)
     u2 = f1.select(
         "user_id", F.explode("pays").alias("p")
@@ -213,10 +213,8 @@ def w4_pipeline(
         F.col("p.merchant_id").alias("merchant_id"),
         F.col("p.amount").alias("amount"),
     )
-    fd1 = _with_scores(u2, version=fd1_version, key_col="user_id", out_col="user_score")
-    fd2 = _with_scores(
-        fd1, version=fd2_version, key_col="merchant_id", out_col="merchant_score"
-    )
+    fd1 = _with_scores(u2, key_col="user_id", scores={"user_score": 1})
+    fd2 = _with_scores(fd1, key_col="merchant_id", scores={"merchant_score": 1})
     return fd2.withColumn(
         "fraud",
         (F.col("user_score") > FRAUD_THRESHOLD)
@@ -240,10 +238,10 @@ def w5_pipeline(payments: DataFrame, *, fd3_version: int = 1,
     merchant-scoring branch (FD4), self-join on payment_id, combine (E1)."""
     base = payments.select("payment_id", "seq", "user_id", "merchant_id", "amount")
     branch_a = _with_scores(
-        base, version=fd3_version, key_col="user_id", out_col="user_score"
+        base, key_col="user_id", scores={"user_score": fd3_version}
     ).select("payment_id", "user_score")
     branch_b = _with_scores(
-        base, version=fd4_version, key_col="merchant_id", out_col="merchant_score"
+        base, key_col="merchant_id", scores={"merchant_score": fd4_version}
     ).select(F.col("payment_id").alias("b_payment_id"), "merchant_score")
     sj = branch_a.join(branch_b, branch_a.payment_id == branch_b.b_payment_id)
     wa, wb = weights

@@ -20,39 +20,51 @@ def tables(spark):
     return {k: v.cache() for k, v in synth_data.tpcds_lite(spark, sf=SF).items()}
 
 
+# Each profile runs several Spark jobs; compute it once per module.
+@pytest.fixture(scope="module")
+def w2_profile(tables):
+    return profile_w2(tables)
+
+
+@pytest.fixture(scope="module")
+def w3_profile(tables):
+    return profile_w3(tables)
+
+
 class TestProfileW2:
-    def test_selectivities_in_unit_range(self, tables):
-        p = profile_w2(tables)
+    def test_selectivities_in_unit_range(self, w2_profile):
+        p = w2_profile
         for j in ("J2", "J3", "J4"):
             assert 0.0 < p.selectivity[j] <= 1.0
 
-    def test_j1_left_join_no_loss(self, tables):
-        p = profile_w2(tables)
+    def test_j1_left_join_no_loss(self, w2_profile):
+        p = w2_profile
         assert p.selectivity["J1"] >= 1.0
 
-    def test_filters_reduce_rows(self, tables):
-        p = profile_w2(tables)
+    def test_filters_reduce_rows(self, w2_profile):
+        p = w2_profile
         assert p.selectivity["J3"] < 0.6  # price filter bites
         assert p.rows["J4"] < p.rows["J1"]
 
-    def test_key_dists_present(self, tables):
-        p = profile_w2(tables)
+    def test_key_dists_present(self, w2_profile):
+        p = w2_profile
         assert set(p.key_dists) == {"J1", "J2", "J3", "J4"}
 
-    def test_warehouse_key_is_skewed_across_workers(self, tables):
-        # 6 warehouses on 8 workers: some workers idle -> max/mean > 1.
-        p = profile_w2(tables, parallelism=8)
+    def test_warehouse_key_is_skewed_across_workers(self, w2_profile):
+        # 6 warehouses on 8 workers (profile_w2's default parallelism):
+        # some workers idle -> max/mean > 1.
+        p = w2_profile
         assert p.skew["J2"] > 1.0
 
 
 class TestProfileW3:
-    def test_channel_selectivities(self, tables):
-        p = profile_w3(tables)
+    def test_channel_selectivities(self, w3_profile):
+        p = w3_profile
         for j in ("J5", "J6", "J7"):
             assert 0.02 < p.selectivity[j] < 0.3  # half-year date filter
 
-    def test_union_row_count(self, tables):
-        p = profile_w3(tables)
+    def test_union_row_count(self, w3_profile):
+        p = w3_profile
         assert p.rows["U1"] == p.rows["J5"] + p.rows["J6"] + p.rows["J7"]
 
 

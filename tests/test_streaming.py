@@ -15,6 +15,7 @@ from repro.streaming import (
     versions_per_txn,
     w4_with_swap,
 )
+from repro.workflows.spark_queries import w4_pipeline
 
 SF = 0.0001
 
@@ -110,6 +111,18 @@ class TestSwapSchedules:
         s1 = all_v1.agg(F.sum("user_score")).first()[0]
         s2 = all_v2.agg(F.sum("user_score")).first()[0]
         assert s1 != s2
+
+    def test_all_v1_scores_match_w4_pipeline(self, spark, swap_inputs):
+        """The replay's v1 scores are the plain W4 pipeline's, row by row:
+        both paths score FD1/FD2 through the same per-key scoring."""
+        by_user, _, _ = swap_inputs
+        cols = ["seq", "user_score", "merchant_score"]
+        replay = w4_with_swap(by_user, fries_schedule(1 << 60), min_payments=2)
+        plain = w4_pipeline(by_user, min_payments=2)
+        a = replay.select(*cols).toPandas().sort_values("seq").reset_index(drop=True)
+        b = plain.select(*cols).toPandas().sort_values("seq").reset_index(drop=True)
+        assert len(a) > 0 and a["seq"].is_unique
+        assert a.equals(b)
 
 
 class TestConsistencyModule:

@@ -1,4 +1,6 @@
 """Tests for the W1–W5 engine specs (topology, flags, parameters)."""
+import hashlib
+
 import pytest
 
 from repro.engine import Simulator
@@ -104,6 +106,38 @@ class TestW5:
 
     def test_builds_simulator(self):
         Simulator(defs.w5(parallelism=2, n_tuples=10))
+
+
+# sha1 of each spec's full repr, so any change to a calibrated value shows.
+# The first five are the builders' defaults; the rest are the specs that
+# perfbench and the Table 4-7 runners build.
+SPEC_FINGERPRINTS = {
+    "w1": (defs.w1, {}, "164537cbfb3a6eb28e63b5c0cf2a915a0849f1a8"),
+    "w2": (defs.w2, {}, "0d0ad8fdefacb9ee178a2ca9ae722f5326431bfc"),
+    "w3": (defs.w3, {}, "b79eaa6be0ba47ebf690ad65a0a16d631f37a8ae"),
+    "w4": (defs.w4, {}, "db53fed2dd054b45fe92880b47c26e068ba63aba"),
+    "w5": (defs.w5, {}, "4b132cc07fddb0ac428017bcc1d49d10050ec635"),
+    "w2-p4": (defs.w2, dict(parallelism=4, rate=8000.0),
+              "0d0ad8fdefacb9ee178a2ca9ae722f5326431bfc"),
+    "w3-p4": (defs.w3, dict(parallelism=4, rate=6000.0),
+              "b79eaa6be0ba47ebf690ad65a0a16d631f37a8ae"),
+    "w2-p40": (defs.w2, dict(parallelism=40, rate=8000.0),
+               "fa4650eeaa3e79da2f3a87b5a2801eab6d1212f5"),
+    "w4-p4": (defs.w4, dict(parallelism=4, rate=40.0, fanout=12),
+              "db53fed2dd054b45fe92880b47c26e068ba63aba"),
+    "w5-p4": (defs.w5, dict(parallelism=4, rate=300.0),
+              "4b132cc07fddb0ac428017bcc1d49d10050ec635"),
+}
+
+
+@pytest.mark.parametrize("name", SPEC_FINGERPRINTS)
+def test_spec_fingerprint(name):
+    build, kwargs, sha1 = SPEC_FINGERPRINTS[name]
+    spec = build(**kwargs)
+    dag = spec.dag
+    state = (dag.edges, [dag.op(v) for v in dag.vertices], spec.ops, spec.edges,
+             spec.fcm_latency, spec.seed)
+    assert hashlib.sha1(repr(state).encode()).hexdigest() == sha1
 
 
 class TestOpSpecBehaviour:
