@@ -7,8 +7,9 @@ operator (Def 4.6). The precedence graph is therefore a star around the
 update transaction U: a cycle exists iff some data transaction T has a
 conflicting operation *before* one of U's μ's and another *after* — i.e.
 the transaction observed both old and new configurations on reconfigured
-operators. ``check`` exploits this; ``check_brute_force`` is the
-permutation-based reference used in tests (Def 4.9 applied literally).
+operators. ``check`` exploits this, reading only each operation's operator and
+transaction; ``check_brute_force`` is the permutation-based reference used
+in tests (Def 4.9 applied literally).
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .transactions import (
+    UPDATE_TXN,
     DataOp,
     Schedule,
-    UpdateOp,
     conflicting,
     txn_of,
 )
@@ -38,22 +39,25 @@ class Verdict:
 
 
 def check(schedule: Schedule) -> Verdict:
-    """Linear-time conflict-serializability check for one update txn."""
+    """Linear-time conflict-serializability check for one update txn.
+
+    Reads ``schedule.pairs()``, so a :class:`ColumnSchedule` is checked in
+    place: one scan collects the operators with a μ, one pass classifies
+    every data operation on them as before or after that μ."""
+    reconfig_ops = {o for o, t in schedule.pairs() if t == UPDATE_TXN}
     updated: set[str] = set()  # operators whose μ has appeared so far
     before: dict[int, str] = {}  # txn -> an op it touched pre-μ (conflicting)
     after: dict[int, str] = {}  # txn -> an op it touched post-μ
-    reconfig_ops = {op.operator for op in schedule if isinstance(op, UpdateOp)}
     violations: list[tuple[int, str, str]] = []
     flagged: set[int] = set()
-    for op in schedule:
-        if isinstance(op, UpdateOp):
-            updated.add(op.operator)
-        elif op.operator in reconfig_ops:
-            t = op.txn
-            if op.operator in updated:
-                after.setdefault(t, op.operator)
+    for o, t in schedule.pairs():
+        if t == UPDATE_TXN:
+            updated.add(o)
+        elif o in reconfig_ops:
+            if o in updated:
+                after.setdefault(t, o)
             else:
-                before.setdefault(t, op.operator)
+                before.setdefault(t, o)
             if t in before and t in after and t not in flagged:
                 flagged.add(t)
                 violations.append((t, before[t], after[t]))
@@ -64,7 +68,7 @@ def check_brute_force(schedule: Schedule) -> bool:
     """Def 4.9 literally: try every serial order of the transactions and
     test conflict-equivalence (Def 4.8). Exponential — tests only."""
     txns = list(schedule.transactions())
-    ops = schedule.ops
+    ops = list(schedule)
     # Pairwise conflict orders observed in the schedule.
     observed: set[tuple[int, int, str]] = set()
     for i, a in enumerate(ops):

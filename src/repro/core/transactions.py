@@ -10,13 +10,14 @@
 * φ(t, o) and μ(o′) conflict iff o == o′ (Def 4.6).
 
 A :class:`Schedule` records the (total) order in which a run performed
-these operations; :mod:`repro.core.serializability` checks
-conflict-serializability of a recorded schedule.
+these operations (a :class:`ColumnSchedule` reads it from recorded
+columns); :mod:`repro.core.serializability` checks conflict-serializability
+of a recorded schedule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,14 @@ def conflicting(a: Operation, b: Operation) -> bool:
     return a.operator == b.operator
 
 
-@dataclass
 class Schedule:
-    """An ordered record of operations, as produced by a run."""
+    """An ordered record of operations, as produced by a run.
 
-    ops: list[Operation] = field(default_factory=list)
+    The checker reads it through :meth:`pairs`; :class:`ColumnSchedule`
+    serves the same pairs from a run's recorded columns."""
+
+    def __init__(self, ops: Iterable[Operation] = ()) -> None:
+        self.ops: list[Operation] = list(ops)
 
     def record_data(self, txn: int, operator: str, tuple_id: str = "") -> None:
         self.ops.append(DataOp(txn, operator, tuple_id))
@@ -64,18 +68,43 @@ class Schedule:
     def record_update(self, operator: str) -> None:
         self.ops.append(UpdateOp(operator))
 
+    def pairs(self) -> Iterator[tuple[str, int]]:
+        """``(operator, txn)`` per operation in schedule order, a μ under
+        ``UPDATE_TXN``."""
+        return ((op.operator, txn_of(op)) for op in self.ops)
+
     def transactions(self) -> dict[int, list[Operation]]:
         """Group operations by transaction, preserving schedule order."""
         out: dict[int, list[Operation]] = {}
-        for op in self.ops:
+        for op in self:
             out.setdefault(txn_of(op), []).append(op)
         return out
 
     def __len__(self) -> int:
         return len(self.ops)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Operation]:
         return iter(self.ops)
+
+
+class ColumnSchedule(Schedule):
+    """A read-only schedule stored as two columns: the i-th operation runs
+    on operator ``names[operators[i]]`` in transaction ``txns[i]``
+    (``UPDATE_TXN`` for a μ). :meth:`pairs` reads the columns in place;
+    iterating builds each operation only as it is reached."""
+
+    def __init__(self, names: Sequence[str], operators: Sequence[int], txns: Sequence[int]) -> None:
+        self.names, self.operators, self.txns = names, operators, txns
+
+    def pairs(self) -> Iterator[tuple[str, int]]:
+        return zip(map(self.names.__getitem__, self.operators), self.txns)
+
+    def __len__(self) -> int:
+        return len(self.txns)
+
+    def __iter__(self) -> Iterator[Operation]:
+        for operator, txn in self.pairs():
+            yield UpdateOp(operator) if txn == UPDATE_TXN else DataOp(txn, operator)
 
 
 def scope(

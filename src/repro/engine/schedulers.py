@@ -25,6 +25,7 @@ measure, :meth:`PlanScheduler.result`, and differ only in the plan:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.core.dag import DAG
@@ -154,7 +155,8 @@ class MultiVersionScheduler:
     subsequent tuples v2. The reconfiguration is complete when no
     reconfiguration worker will ever process a v1 tuple again — measured
     post-hoc as the last v1 data operation on a reconfiguration worker.
-    That measurement reads ``op_log``, so the simulator must record.
+    That measurement reads ``op_log``'s columns from the request time on,
+    so the simulator must record.
     """
 
     def __init__(self) -> None:
@@ -174,19 +176,24 @@ class MultiVersionScheduler:
                 sim.send_fcm(w.name, FCM("bump_version"), at=t_bump)
 
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        last_v1: dict[str, float] = {w: t for w in self._workers}
-        seen_v2: set[str] = set()
-        for when, worker, txn, version in sim.op_log:
-            if txn != UPDATE_TXN and worker in last_v1 and when >= t:
+        log = sim.op_log
+        last_v1 = {sim.workers[w].id: t for w in self._workers}
+        seen_v2: set[int] = set()
+        # op_log is in time order: read its rows from t on, the latest last.
+        lo = bisect_left(log.t, t)
+        for wid, txn, version, when in zip(
+            log.worker[lo:], log.txn[lo:], log.version[lo:], log.t[lo:]
+        ):
+            if wid in last_v1 and txn != UPDATE_TXN:
                 if version <= 1:
-                    last_v1[worker] = max(last_v1[worker], when)
+                    last_v1[wid] = when
                 else:
-                    seen_v2.add(worker)
-        done = seen_v2 >= self._workers
+                    seen_v2.add(wid)
+        done = len(seen_v2) == len(last_v1)
         delay = (max(last_v1.values()) - t) if done else math.inf
         return ReconfigResult(
             request_time=t,
-            apply_times=dict(last_v1) if done else {},
+            apply_times={log.names[i]: when for i, when in last_v1.items()} if done else {},
             delay=delay,
             completed=done,
         )

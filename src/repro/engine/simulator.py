@@ -4,25 +4,53 @@ from a :class:`repro.engine.workload.WorkflowSpec`.
 Each logical edge is wired into the worker channels that
 ``repro.core.parallel.worker_pairs`` lists (§7.2) — the same description
 ``expand`` builds G* from. Under ``record="all"`` the run logs every
-operation in ``op_log`` as ``(t, worker, txn, version)``, an update μ(o)
-under ``UPDATE_TXN``, and every sink arrival in ``sink_log``;
-``schedule_log`` is ``op_log`` as a §4.2 schedule, built when read. Apply
+operation in ``op_log``, an :class:`OpLog` of typed columns that iterates
+as ``(t, worker, txn, version)`` rows, an update μ(o) under
+``UPDATE_TXN``, and every sink arrival in ``sink_log``; ``schedule_log`` is
+a §4.2 schedule view over ``op_log``'s columns, which copies nothing. Apply
 times (reconfiguration delay) and checkpoint snapshots are always kept.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.core.parallel import worker_pairs
-from repro.core.transactions import UPDATE_TXN, DataOp, Schedule, UpdateOp
+from repro.core.transactions import UPDATE_TXN, ColumnSchedule
 
 from .channel import Channel
 from .messages import FCM
 from .worker import Worker
 from .workload import WorkflowSpec
+
+
+class OpLog:
+    """The operation log as typed columns, one entry per operation: ``t``
+    (virtual time, in run order), ``worker`` (an index into ``names``),
+    ``txn`` (``UPDATE_TXN`` for a μ) and ``version``. Iterating yields
+    ``(t, worker name, txn, version)`` rows."""
+
+    def __init__(self, names: list[str]) -> None:
+        self.names = names
+        self.t = array("d")
+        self.worker = array("H")
+        self.txn = array("q")
+        self.version = array("B")
+
+    def append(self, t: float, worker: int, txn: int, version: int) -> None:
+        self.t.append(t)
+        self.worker.append(worker)
+        self.txn.append(txn)
+        self.version.append(version)
+
+    def __len__(self) -> int:
+        return len(self.txn)
+
+    def __iter__(self) -> Iterator[tuple[float, str, int, int]]:
+        return zip(self.t, map(self.names.__getitem__, self.worker), self.txn, self.version)
 
 
 class Simulator:
@@ -46,7 +74,6 @@ class Simulator:
         self._halt_on_apply: Callable[[], bool] | None = None
         self._halted = False
         self.record = record
-        self.op_log: list[tuple[float, str, int, int]] = []  # (t, worker, txn, version)
         self.apply_times: dict[str, float] = {}
         self.sink_log: list[tuple[float, float, int]] = []  # (arrival, created, txn)
         self.snapshots: dict[int, dict[str, int]] = {}
@@ -56,10 +83,11 @@ class Simulator:
         self.by_op: dict[str, list[Worker]] = {}
         for op_name in spec.dag.topological_order():
             op = spec.ops[op_name]
-            ws = [Worker(self, op, i) for i in range(op.parallelism)]
+            ws = [Worker(self, op, i, len(self.workers) + i) for i in range(op.parallelism)]
             self.by_op[op_name] = ws
             for w in ws:
                 self.workers[w.name] = w
+        self.op_log = OpLog(list(self.workers))  # names in worker id order
 
         # Wire channels per logical edge.
         self.channels: list[Channel] = []
@@ -163,14 +191,14 @@ class Simulator:
     # ------------------------------------------------------------------
     # logging
     # ------------------------------------------------------------------
-    def log_data(self, worker_name: str, txn: int, version: int) -> None:
+    def log_data(self, worker: int, txn: int, version: int) -> None:
         if self.record == "all":
-            self.op_log.append((self.now, worker_name, txn, version))
+            self.op_log.append(self.now, worker, txn, version)
 
-    def log_update(self, worker_name: str, version: int) -> None:
-        self.apply_times[worker_name] = self.now
+    def log_update(self, worker: int, version: int) -> None:
+        self.apply_times[self.op_log.names[worker]] = self.now
         if self.record == "all":
-            self.op_log.append((self.now, worker_name, UPDATE_TXN, version))
+            self.op_log.append(self.now, worker, UPDATE_TXN, version)
         if self._halt_on_apply is not None and self._halt_on_apply():
             self._halted = True
 
@@ -179,13 +207,11 @@ class Simulator:
             self.sink_log.append((self.now, msg.created, msg.txn))
 
     @property
-    def schedule_log(self) -> Schedule:
-        """``op_log`` as a §4.2 schedule, for the serializability checker.
-        Built on each read, so the event loop never builds operations."""
-        return Schedule([
-            UpdateOp(w) if txn == UPDATE_TXN else DataOp(txn, w)
-            for _, w, txn, _ in self.op_log
-        ])
+    def schedule_log(self) -> ColumnSchedule:
+        """``op_log`` as a §4.2 schedule for the serializability checker: a
+        view over its worker and txn columns, building no operation."""
+        log = self.op_log
+        return ColumnSchedule(log.names, log.worker, log.txn)
 
     def log_snapshot(self, ckpt_id: int, worker_name: str, version: int) -> None:
         self.snapshots.setdefault(ckpt_id, {})[worker_name] = version

@@ -40,11 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover
 class Worker:
     """One parallel instance of an operator in the simulated engine."""
 
-    def __init__(self, sim: "Simulator", op: OpSpec, index: int) -> None:
+    def __init__(self, sim: "Simulator", op: OpSpec, index: int, wid: int) -> None:
         self.sim = sim
         self.op = op
         self.index = index
         self.name = worker_name(op.name, index)
+        self.id = wid  # fixed by the simulator: this worker's op_log id
         # zlib.crc32 is process-stable (str.__hash__ is salted per process,
         # which would make runs non-reproducible across invocations).
         self.rng = random.Random(
@@ -107,7 +108,7 @@ class Worker:
             raise RuntimeError(f"{self.name} already applied its reconfiguration")
         self.applied = True
         self.version = 2
-        self.sim.log_update(self.name, self.version)
+        self.sim.log_update(self.id, self.version)
 
     def _open_epoch(self, marker: EpochMarker) -> None:
         """Apply the piggybacked reconfiguration if targeted, snapshot if
@@ -169,7 +170,7 @@ class Worker:
             if (self.multiversion and msg.version_tag is not None)
             else self.version
         )
-        self.sim.log_data(self.name, msg.txn, version)
+        self.sim.log_data(self.id, msg.txn, version)
         self.state = "busy"
         cost = self._cost.get(version)
         if cost is None:
@@ -308,7 +309,7 @@ class Worker:
         for ch, _ in emits:
             if ch.in_transit + len(ch.queue) >= ch.capacity:
                 return  # backpressured; resumed by on_channel_freed
-        self.sim.log_data(self.name, msg.txn, self.version)
+        self.sim.log_data(self.id, msg.txn, self.version)
         for ch, m in emits:
             ch.send(m)
         self._src_pending = None

@@ -342,7 +342,7 @@ class HeapOnlySimulator(Simulator):
 def _observed(sim: Simulator):
     return (
         sim.apply_times,
-        sim.op_log,
+        list(sim.op_log),
         sim.snapshots,
         sim.sink_log,
         {name: w.processed for name, w in sim.workers.items()},
@@ -466,7 +466,7 @@ class TestRecording:
         sim, delay = _halt_case_run(Simulator, "W2", FriesScheduler, True, monkeypatch)
         _, ops, _, _ = HALT_CASES["W2"]
         assert sim.record == "none" and math.isfinite(delay)
-        assert sim.op_log == [] and len(sim.schedule_log) == 0 and sim.sink_log == []
+        assert len(sim.op_log) == 0 and len(sim.schedule_log) == 0 and sim.sink_log == []
         assert set(sim.apply_times) == sim.reconfig_workers(ops)
 
     def test_all_logs_every_operation(self):

@@ -37,7 +37,7 @@ ACTIONS = (*SCHEDULERS, "checkpoint", "checkpoint+fries")
 def fingerprint(sim: Simulator) -> str:
     state = (
         sorted(sim.apply_times.items()),
-        sim.op_log,
+        list(sim.op_log),
         sorted(sim.snapshots.items()),
         sim.sink_log,
         sorted((name, w.processed) for name, w in sim.workers.items()),

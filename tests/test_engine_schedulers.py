@@ -74,7 +74,7 @@ sim.start()
 sim.run(until=1.0)
 NaiveFCMScheduler().request(sim, {"FD3", "FD4", "SJ", "E1"}, 1.0)
 sim.run(until=1.1)
-print(sim.op_log)
+print(list(sim.op_log))
 """
 
 
