@@ -4,7 +4,7 @@ Each operator ``o`` with parallelism ``p`` becomes workers ``o#0..o#p-1``.
 Each logical edge carries a partitioning strategy that determines the
 worker-level data channels:
 
-``hash`` / ``range`` / ``rebalance``
+``hash``
     every upstream worker connects to every downstream worker (p_a × p_b
     channels); workers keep the operator's one-to-one/one-to-many class.
 ``forward``
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from .dag import DAG
 from .fries import ReconfigPlan
 
-PARTITIONINGS = ("hash", "range", "rebalance", "forward", "broadcast")
+PARTITIONINGS = ("hash", "forward", "broadcast")
 
 
 def worker_name(op: str, i: int) -> str:

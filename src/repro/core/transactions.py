@@ -62,8 +62,8 @@ class Schedule:
     def __init__(self, ops: Iterable[Operation] = ()) -> None:
         self.ops: list[Operation] = list(ops)
 
-    def record_data(self, txn: int, operator: str, tuple_id: str = "") -> None:
-        self.ops.append(DataOp(txn, operator, tuple_id))
+    def record_data(self, txn: int, operator: str) -> None:
+        self.ops.append(DataOp(txn, operator))
 
     def record_update(self, operator: str) -> None:
         self.ops.append(UpdateOp(operator))

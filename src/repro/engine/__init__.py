@@ -2,7 +2,7 @@
 pipelined dataflow engine (the paper's Flink testbed stand-in)."""
 from .channel import Channel
 from .faults import CheckpointCoordinator, recover, snapshot_consistent
-from .messages import DataMsg, EpochMarker, FCM
+from .messages import DataMsg, EpochMarker
 from .schedulers import (
     EpochScheduler,
     FriesScheduler,
@@ -23,7 +23,6 @@ __all__ = [
     "snapshot_consistent",
     "DataMsg",
     "EpochMarker",
-    "FCM",
     "EpochScheduler",
     "FriesScheduler",
     "MultiVersionScheduler",

@@ -2,11 +2,11 @@
 
 Checkpoints are taken with globally aligned epoch markers (epoch-based
 checkpointing [6,7]): an :class:`EpochMarker` over every edge with its
-``ckpt_id`` set, opened at the sources by a ``start_markers`` FCM like any
-plan head's marker; each worker snapshots its configuration version when
-aligned. A snapshot is *consistent* for a reconfiguration iff every
-reconfiguration worker recorded the same version — otherwise recovery would
-resurrect a half-updated dataflow (the paper's F-old/G-new anomaly).
+``ckpt_id`` set, delivered to the sources as an FCM like any plan head's
+marker; each worker snapshots its configuration version when aligned. A
+snapshot is *consistent* for a reconfiguration iff every reconfiguration
+worker recorded the same version — otherwise recovery would resurrect a
+half-updated dataflow (the paper's F-old/G-new anomaly).
 
 ``CheckpointCoordinator`` implements both policies:
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .messages import EpochMarker, FCM
+from .messages import EpochMarker
 from .simulator import Simulator
 from .workload import WorkflowSpec
 
@@ -56,15 +56,10 @@ class CheckpointCoordinator:
         start = max(t, self._blocked_until)
         self.records[cid] = CheckpointRecord(cid, start)
         dag = self.sim.spec.dag
-        marker = EpochMarker(
-            scope_id=f"ckpt-{cid}",
-            edges=frozenset(dag.edges),
-            reconfig_workers=frozenset(),
-            ckpt_id=cid,
-        )
+        marker = EpochMarker(frozenset(dag.edges), frozenset(), ckpt_id=cid)
         for op in dag.sources():
             for w in self.sim.by_op[op]:
-                self.sim.send_fcm(w.name, FCM("start_markers", marker), at=start)
+                self.sim.send_fcm(w.name, marker, at=start)
         return cid
 
     def on_reconfig_request(self, t: float, fcm_delivery_time: float) -> None:

@@ -3,12 +3,13 @@
 Data messages and epoch markers travel through FIFO data channels
 (markers cannot overtake data — the source of epoch-based reconfiguration
 delay). FCMs (Def 4.1) travel on the control plane and are delivered to a
-worker with a small fixed latency, never queued behind data.
+worker with a small fixed latency, never queued behind data: a plan head's
+FCM is the marker itself, and the multi-version scheduler's are the
+commands ``"register"`` and ``"bump_version"``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 
 @dataclass
@@ -23,27 +24,20 @@ class DataMsg:
     version_tag: int | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class EpochMarker:
-    """An epoch marker (§3.1) with a propagation scope.
+    """An epoch marker (§3.1); the object itself is the synchronization
+    round, so it compares by identity: every head and every channel of a
+    round gets the same instance.
 
-    ``scope_id`` identifies the synchronization round; ``edges`` are the
-    *logical* edges (src_op, dst_op) in scope — the marker is aligned and
-    forwarded on every worker channel of each (§8.1; the whole DAG for EBR
-    and checkpoints, one MCS component for Fries, none for NaiveFCM);
-    ``reconfig_workers`` apply the piggybacked reconfiguration when
-    aligned. A checkpoint barrier (§7.3) sets ``ckpt_id``: every worker
-    snapshots its configuration version when aligned."""
+    ``edges`` are the *logical* edges (src_op, dst_op) in scope — the
+    marker is aligned and forwarded on every worker channel of each (§8.1;
+    the whole DAG for EBR and checkpoints, one MCS component for Fries,
+    none for NaiveFCM); the workers of ``reconfig_ops`` apply the
+    piggybacked reconfiguration when aligned. A checkpoint barrier (§7.3)
+    sets ``ckpt_id``: every worker snapshots its configuration version
+    when aligned."""
 
-    scope_id: str
     edges: frozenset[tuple[str, str]]
-    reconfig_workers: frozenset[str]
+    reconfig_ops: frozenset[str]
     ckpt_id: int | None = None
-
-
-@dataclass
-class FCM:
-    """A fast control message from the controller to one worker."""
-
-    kind: str  # "start_markers" (plan heads) | "register" | "bump_version" (multi-version)
-    payload: Any = None

@@ -2,10 +2,11 @@
 
 Each scheduler issues controller actions for a reconfiguration request at
 time ``t`` and defines how the reconfiguration delay is measured. Fries,
-EBR, savepoint and NaiveFCM share one runtime, :func:`start_plan`: FCMs to
-every worker of each component's head operators, then epoch markers on the
-worker channels of the component's logical edges. They share one delay
-measure, :meth:`PlanScheduler.result`, and differ only in the plan:
+EBR, savepoint and NaiveFCM share one runtime, :func:`start_plan`: one
+epoch marker per component, sent by FCM to every worker of the component's
+head operators and from there along the worker channels of the component's
+logical edges. They share one delay measure, :meth:`PlanScheduler.result`,
+and differ only in the plan:
 
 * :class:`FriesScheduler` — Algorithms 2/3/4 planned on the *logical* DAG
   with §7.2's broadcast adjustment: markers only inside MCS components.
@@ -33,7 +34,7 @@ from repro.core.fries import ReconfigPlan, plan_epoch, plan_general, plan_naive
 from repro.core.parallel import broadcast_adjusted
 from repro.core.transactions import UPDATE_TXN
 
-from .messages import EpochMarker, FCM
+from .messages import EpochMarker
 from .simulator import Simulator
 from .workload import WorkflowSpec
 
@@ -55,20 +56,16 @@ class ReconfigResult:
     plan: ReconfigPlan | None = None
 
 
-def start_plan(sim: Simulator, plan: ReconfigPlan, t: float, tag: str) -> None:
-    """Run ``plan`` from time ``t``: one marker per component, delivered by a
-    ``start_markers`` FCM to every worker of the component's head operators
-    (§5.3, §7.2). Each head applies the reconfiguration if targeted and
-    sends the marker on all channels of the component's edges (§8.1)."""
-    for idx, (comp, heads) in enumerate(zip(plan.component_list, plan.heads)):
-        marker = EpochMarker(
-            scope_id=f"{tag}-{t}-{idx}",
-            edges=comp.edges,
-            reconfig_workers=sim.reconfig_workers(plan.reconfig_ops & comp.vertices),
-        )
+def start_plan(sim: Simulator, plan: ReconfigPlan, t: float) -> None:
+    """Run ``plan`` from time ``t``: one marker per component, delivered as
+    an FCM to every worker of the component's head operators (§5.3, §7.2).
+    Each head applies the reconfiguration if targeted and sends the marker
+    on all channels of the component's edges (§8.1)."""
+    for comp, heads in zip(plan.component_list, plan.heads):
+        marker = EpochMarker(comp.edges, plan.reconfig_ops & comp.vertices)
         for op in heads:
             for w in sim.by_op[op]:
-                sim.send_fcm(w.name, FCM("start_markers", marker), at=t + sim.spec.fcm_latency)
+                sim.send_fcm(w.name, marker, at=t + sim.spec.fcm_latency)
 
 
 class PlanScheduler:
@@ -107,7 +104,7 @@ class FriesScheduler(PlanScheduler):
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
         self.plan = plan_general(effective_logical_dag(sim.spec), reconfig_ops, prune=self.prune)
-        start_plan(sim, self.plan, t, "fries")
+        start_plan(sim, self.plan, t)
 
 
 class EpochScheduler(PlanScheduler):
@@ -116,7 +113,7 @@ class EpochScheduler(PlanScheduler):
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
         self.plan = plan_epoch(sim.spec.dag, reconfig_ops)
-        start_plan(sim, self.plan, t, "ebr")
+        start_plan(sim, self.plan, t)
 
 
 class SavepointScheduler(EpochScheduler):
@@ -130,7 +127,7 @@ class SavepointScheduler(EpochScheduler):
         # The savepoint must cover every operator, so the marker also
         # targets the sinks: their apply time marks epoch completion.
         self.plan = plan_epoch(sim.spec.dag, set(reconfig_ops) | set(sim.spec.dag.sinks()))
-        start_plan(sim, self.plan, t, "svp")
+        start_plan(sim, self.plan, t)
 
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
         r = super().result(sim, t)
@@ -144,7 +141,7 @@ class NaiveFCMScheduler(PlanScheduler):
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
         self.plan = plan_naive(sim.spec.dag, reconfig_ops)
-        start_plan(sim, self.plan, t, "naive")
+        start_plan(sim, self.plan, t)
 
 
 class MultiVersionScheduler:
@@ -168,12 +165,12 @@ class MultiVersionScheduler:
         workers = sim.reconfig_workers(reconfig_ops)
         self._workers = workers
         for w in sim.workers:
-            sim.send_fcm(w, FCM("register"), at=t + sim.spec.fcm_latency)
+            sim.send_fcm(w, "register", at=t + sim.spec.fcm_latency)
         # Version bump after every registration acked (one more RTT).
         t_bump = t + 3 * sim.spec.fcm_latency
         for op in sim.spec.dag.sources():
             for w in sim.by_op[op]:
-                sim.send_fcm(w.name, FCM("bump_version"), at=t_bump)
+                sim.send_fcm(w.name, "bump_version", at=t_bump)
 
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
         log = sim.op_log
@@ -208,9 +205,15 @@ def run_reconfig_experiment(
     t_end: float,
 ) -> ReconfigResult:
     """Warm the engine up to ``t_request``, issue the reconfiguration, run
-    to ``t_end`` (or drain), and return the measured delay."""
+    on, and return the measured delay.
+
+    A simulator that records nothing stops right after the apply that
+    completes the reconfiguration, so nothing past the answer is
+    simulated. A recording one runs to ``t_end`` (or drains): a schedule
+    cut short at completion could hide a later violation."""
     sim.start()
     sim.run(until=t_request)
     scheduler.request(sim, reconfig_ops, t_request)
-    sim.run(until=t_end)
+    done = lambda: scheduler.result(sim, t_request).completed  # noqa: E731
+    sim.run(until=t_end, halt_on_apply=done if sim.record == "none" else None)
     return scheduler.result(sim, t_request)

@@ -22,7 +22,7 @@ from repro.core.parallel import worker_pairs
 from repro.core.transactions import UPDATE_TXN, ColumnSchedule
 
 from .channel import Channel
-from .messages import FCM
+from .messages import EpochMarker
 from .worker import Worker
 from .workload import WorkflowSpec
 
@@ -179,7 +179,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # controller-side helpers
     # ------------------------------------------------------------------
-    def send_fcm(self, worker: str, fcm: FCM, at: float) -> None:
+    def send_fcm(self, worker: str, fcm: EpochMarker | str, at: float) -> None:
         """Deliver an FCM to ``worker`` at time ``at``; the caller adds the
         control-plane latency (``spec.fcm_latency``)."""
         self.schedule(at, self.workers[worker].on_fcm, fcm)

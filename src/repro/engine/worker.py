@@ -15,9 +15,10 @@ to channel backpressure, and participates in the control protocols:
   channel and waits for markers on every in-scope input (epoch alignment,
   §3.1); on full alignment it applies the piggybacked reconfiguration (if
   targeted), forwards the marker on its in-scope output channels, and
-  unblocks. A plan head opens the epoch the same way on its FCM. A
-  checkpoint is an epoch marker over every edge that also snapshots the
-  worker's configuration version (§7.3).
+  unblocks. A plan head opens the epoch the same way when the controller
+  delivers the marker to it as an FCM. A checkpoint is an epoch marker
+  over every edge that also snapshots the worker's configuration version
+  (§7.3).
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 from repro.core.parallel import worker_name
 
 from .channel import Channel
-from .messages import DataMsg, EpochMarker, FCM
+from .messages import DataMsg, EpochMarker
 from .workload import OpSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,13 +64,13 @@ class Worker:
         self._cost: dict[int, float] = {}  # version -> this worker's cost_at
         self.applied = False
         self.multiversion = False  # registered new config, per-tuple versioning
-        self.control: deque[FCM] = deque()
+        self.control: deque[EpochMarker | str] = deque()
         self.state = "idle"  # idle | busy | blocked
         self._pending: list[tuple[Channel, DataMsg]] = []
         self._dispatch_scheduled = False
-        # Marker alignment: scope_id -> the input channels its marker has
-        # arrived on, blocked meanwhile.
-        self._aligning: dict[str, list[Channel]] = {}
+        # Marker alignment: marker -> the input channels it has arrived on,
+        # blocked meanwhile.
+        self._aligning: dict[EpochMarker, list[Channel]] = {}
         # Self-join per-transaction arrival counts.
         self._sj_state: dict[int, int] = {}
         self.processed = 0
@@ -80,7 +81,7 @@ class Worker:
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------
-    def on_fcm(self, fcm: FCM) -> None:
+    def on_fcm(self, fcm: EpochMarker | str) -> None:
         self.control.append(fcm)
         if self.op.kind == "source":
             self._handle_control()
@@ -93,15 +94,15 @@ class Worker:
         processing of a tuple and markers stay FIFO behind sent data."""
         while self.control:
             fcm = self.control.popleft()
-            if fcm.kind == "start_markers":
+            if isinstance(fcm, EpochMarker):
                 # Plan head: open the component's epoch.
-                self._open_epoch(fcm.payload)
-            elif fcm.kind == "register":
+                self._open_epoch(fcm)
+            elif fcm == "register":
                 self.multiversion = True
-            elif fcm.kind == "bump_version":
+            elif fcm == "bump_version":
                 self.version = 2
             else:  # pragma: no cover
-                raise ValueError(f"unknown FCM {fcm.kind!r}")
+                raise ValueError(f"unknown FCM {fcm!r}")
 
     def _apply_reconfig(self) -> None:
         if self.applied:
@@ -114,7 +115,7 @@ class Worker:
         """Apply the piggybacked reconfiguration if targeted, snapshot if
         the marker is a checkpoint, then send the marker on every channel
         of the in-scope out-edges."""
-        if self.name in marker.reconfig_workers:
+        if self.op.name in marker.reconfig_ops:
             self._apply_reconfig()
         if marker.ckpt_id is not None:
             self.sim.log_snapshot(marker.ckpt_id, self.name, self.version)
@@ -226,7 +227,7 @@ class Worker:
                 emits.extend((ch, child) for ch in channels)
             elif strategy == "forward":
                 emits.append((channels[0], child))
-            else:  # hash / rebalance
+            else:  # hash
                 emits.append((channels[key % len(channels)], child))
         return emits
 
@@ -253,12 +254,12 @@ class Worker:
         """Block ``ch`` until the marker has arrived on every in-scope
         input; then unblock them all and open the epoch."""
         ch.blocked = True
-        arrived = self._aligning.setdefault(marker.scope_id, [])
+        arrived = self._aligning.setdefault(marker, [])
         arrived.append(ch)
         expected = sum((c.src.op.name, self.op.name) in marker.edges for c in self.inputs)
         if len(arrived) < expected:
             return
-        for c in self._aligning.pop(marker.scope_id):
+        for c in self._aligning.pop(marker):
             c.blocked = False
             if c.queue:
                 heapq.heappush(self.ready, (c.queue[0][0], c.index))

@@ -18,6 +18,7 @@ from repro.engine.schedulers import (
     EpochScheduler,
     FriesScheduler,
     effective_logical_dag,
+    run_reconfig_experiment,
 )
 from repro.engine.simulator import Simulator
 from repro.engine.workload import WorkflowSpec
@@ -40,15 +41,11 @@ def run_delay(
     """Warm up, request the reconfiguration, run until it completes (or
     ``t_max``), return the delay in milliseconds (inf if not completed).
 
-    The event loop stops right after the event whose configuration apply
-    completes the reconfiguration, so nothing past the answer is simulated.
-    ``step`` is unused; it stays for existing callers."""
+    The simulator records nothing, so :func:`run_reconfig_experiment`
+    stops it at the completing apply. ``step`` is unused; it stays for
+    existing callers."""
     sim = Simulator(spec_builder(), record="none")
-    sim.start()
-    sim.run(until=warmup)
-    scheduler.request(sim, reconfig_ops, warmup)
-    sim.run(until=t_max, halt_on_apply=lambda: scheduler.result(sim, warmup).completed)
-    r = scheduler.result(sim, warmup)
+    r = run_reconfig_experiment(sim, scheduler, reconfig_ops, t_request=warmup, t_end=t_max)
     return r.delay * 1000.0 if r.completed else math.inf
 
 

@@ -12,12 +12,13 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def versions_per_txn(df: DataFrame, version_cols: list[str], txn_col: str = "txn") -> DataFrame:
+def versions_per_txn(df: DataFrame, version_cols: list[str]) -> DataFrame:
     """Per transaction: the number of distinct configuration versions
-    observed across all reconfiguration-operator data operations."""
+    observed across all reconfiguration-operator data operations. The
+    transaction id is the ``txn`` column."""
     stacked = None
     for c in version_cols:
-        part = df.select(F.col(txn_col).alias("txn"), F.col(c).alias("version"))
+        part = df.select("txn", F.col(c).alias("version"))
         stacked = part if stacked is None else stacked.unionByName(part)
     assert stacked is not None, "need at least one version column"
     return stacked.groupBy("txn").agg(
@@ -27,10 +28,10 @@ def versions_per_txn(df: DataFrame, version_cols: list[str], txn_col: str = "txn
     )
 
 
-def mixed_version_txns(df: DataFrame, version_cols: list[str], txn_col: str = "txn") -> DataFrame:
+def mixed_version_txns(df: DataFrame, version_cols: list[str]) -> DataFrame:
     """Transactions that observed more than one configuration version."""
-    return versions_per_txn(df, version_cols, txn_col).filter(F.col("n_versions") > 1)
+    return versions_per_txn(df, version_cols).filter(F.col("n_versions") > 1)
 
 
-def count_mixed(df: DataFrame, version_cols: list[str], txn_col: str = "txn") -> int:
-    return mixed_version_txns(df, version_cols, txn_col).count()
+def count_mixed(df: DataFrame, version_cols: list[str]) -> int:
+    return mixed_version_txns(df, version_cols).count()

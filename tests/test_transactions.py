@@ -69,9 +69,9 @@ class TestConflicts:
 class TestSchedule:
     def test_record_and_group(self):
         s = Schedule()
-        s.record_data(1, "FC", "t")
+        s.record_data(1, "FC")
         s.record_update("FM")
-        s.record_data(1, "FM", "t")
+        s.record_data(1, "FM")
         txns = s.transactions()
         assert len(txns[1]) == 2
         assert len(txns[-1]) == 1
