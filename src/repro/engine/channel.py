@@ -1,22 +1,35 @@
 """A FIFO data channel between two workers, with latency, finite capacity
 and backpressure.
 
-Capacity counts both in-transit and delivered-but-unprocessed messages;
-when full, the sending worker blocks (backpressure propagates upstream —
-§3.2's reason small buffers do not fix epoch delay). Markers do not count
-against capacity (they are tiny control records riding the data FIFO), but
-they are strictly FIFO-ordered behind previously sent data.
+A message sent at ``now`` arrives at ``now + latency``; the latency must be
+positive. ``queue`` holds every sent, unpopped message in send order, each
+with its arrival key ``(t, seq)``: the arrival time and a number taken at
+send time from the simulator's one sequence of ordering keys. That is the
+key a delivery event scheduled at send time would have had, so arrival keys
+order messages exactly as such events would run. A message has arrived once
+``t <= now``, and the destination worker pops only arrived messages. A data
+message needs no event of its own: the destination, if idle, wakes at the
+earliest arrival key among its inputs (:meth:`Worker._arm_wake`). A marker
+is rare and keeps an arrival event at its key, which notifies the
+destination.
+
+Capacity counts the data messages sent and not yet popped, plus the markers
+that have arrived and are not yet popped; a marker in flight does not count.
+When a data message does not fit, the sending worker blocks (backpressure
+propagates upstream — §3.2's reason small buffers do not fix epoch delay).
+A marker is always sent, whatever the load, and is strictly FIFO-ordered
+behind previously sent data.
 
 A channel registers itself as the next input of its destination worker and
 keeps that input index: the worker's ready heap names channels by it.
 """
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING
 
-from .messages import DataMsg
+from .messages import DataMsg, EpochMarker
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
@@ -25,6 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class Channel:
     """Single-producer single-consumer FIFO link ``src -> dst``."""
+
+    __slots__ = ("sim", "src", "dst", "latency", "capacity", "queue",
+                 "markers_in_flight", "blocked", "index")
 
     def __init__(
         self,
@@ -35,13 +51,15 @@ class Channel:
         latency: float = 0.001,
         capacity: int = 100,
     ) -> None:
+        if not latency > 0:
+            raise ValueError(f"channel latency must be positive, not {latency!r}")
         self.sim = sim
         self.src = src
         self.dst = dst
         self.latency = latency
         self.capacity = capacity
-        self.queue: deque = deque()  # (global seq, msg): delivered, awaiting processing
-        self.in_transit = 0
+        self.queue: deque = deque()  # (t, seq, msg): sent, unpopped, in send order
+        self.markers_in_flight = 0
         self.blocked = False  # alignment block: dst must not consume
         inputs = dst.inputs
         self.index = len(inputs)
@@ -49,30 +67,46 @@ class Channel:
 
     # -- producer side ----------------------------------------------------
     def data_load(self) -> int:
-        return self.in_transit + len(self.queue)
+        return len(self.queue) - self.markers_in_flight
 
-    def send(self, msg) -> None:
-        """Enqueue ``msg`` for delivery after ``latency``. Caller must have
-        checked that ``data_load() < capacity`` for data messages (markers
-        always fit)."""
-        if isinstance(msg, DataMsg):
-            self.in_transit += 1
-        self.sim.schedule(self.sim.now + self.latency, self._deliver, msg)
+    def send(self, msg: DataMsg) -> None:
+        """Enqueue data message ``msg``. Caller must have checked that
+        ``data_load() < capacity``."""
+        sim, queue, dst = self.sim, self.queue, self.dst
+        sim._evseq = seq = sim._evseq + 1
+        t = sim.now + self.latency
+        if not queue and not self.blocked:
+            heappush(dst.ready, (t, seq, self.index))
+        queue.append(entry := (t, seq, msg))
+        if dst.state == "idle":
+            dst._expect(entry)
 
-    # -- delivery ----------------------------------------------------------
-    def _deliver(self, msg) -> None:
-        if isinstance(msg, DataMsg):
-            self.in_transit -= 1
-        seq = self.sim.global_seq()
-        if not self.queue and not self.blocked:
-            heapq.heappush(self.dst.ready, (seq, self.index))
-        self.queue.append((seq, msg))
+    def send_marker(self, marker: EpochMarker) -> None:
+        """Enqueue ``marker`` with an arrival event at its key."""
+        sim, queue = self.sim, self.queue
+        sim._evseq = seq = sim._evseq + 1
+        t = sim.now + self.latency
+        if not queue and not self.blocked:
+            heappush(self.dst.ready, (t, seq, self.index))
+        queue.append((t, seq, marker))
+        self.markers_in_flight += 1
+        sim.schedule_keyed(t, seq, self._marker_arrived)
+
+    def _marker_arrived(self) -> None:
+        self.markers_in_flight -= 1
         self.dst.notify()
 
     # -- consumer side -----------------------------------------------------
     def pop(self):
-        seq, msg = self.queue.popleft()
-        if isinstance(msg, DataMsg):
-            # Space freed: wake a sender blocked on this channel.
-            self.sim.schedule(self.sim.now, self.src.on_channel_freed, self)
+        """Pop the head, which has arrived. Popping data frees room: the
+        sender gets a notice if it is waiting for room, or may start waiting
+        before the notice runs — busy with a finish due now, which the lane
+        runs before the notice. A notice to any other sender would find it
+        idle or busy and do nothing."""
+        msg = self.queue.popleft()[2]
+        if type(msg) is DataMsg:
+            src, now = self.src, self.sim.now
+            if (src.state == "blocked" or src._src_pending is not None
+                    or (src.state == "busy" and src._finish_at == now)):
+                self.sim.schedule(now, src.on_channel_freed)
         return msg

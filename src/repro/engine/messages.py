@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class DataMsg:
     """A data tuple: transaction id (= source tuple id), routing key, and a
     creation timestamp for end-to-end latency accounting. ``version_tag``

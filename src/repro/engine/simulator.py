@@ -3,12 +3,16 @@ from a :class:`repro.engine.workload.WorkflowSpec`.
 
 Each logical edge is wired into the worker channels that
 ``repro.core.parallel.worker_pairs`` lists (§7.2) — the same description
-``expand`` builds G* from. Under ``record="all"`` the run logs every
-operation in ``op_log``, an :class:`OpLog` of typed columns that iterates
-as ``(t, worker, txn, version)`` rows, an update μ(o) under
-``UPDATE_TXN``, and every sink arrival in ``sink_log``; ``schedule_log`` is
-a §4.2 schedule view over ``op_log``'s columns, which copies nothing. Apply
-times (reconfiguration delay) and checkpoint snapshots are always kept.
+``expand`` builds G* from. Events run in ``(t, seq)`` order. ``seq`` comes
+from one counter, ``_evseq``, which also gives every sent message its
+arrival key, so a data message needs no event of its own (see
+:mod:`.channel`); ``events`` counts the events executed. Under
+``record="all"`` the run logs every operation in ``op_log``, an
+:class:`OpLog` of typed columns that iterates as ``(t, worker, txn,
+version)`` rows, an update μ(o) under ``UPDATE_TXN``, and every sink
+arrival in ``sink_log``; ``schedule_log`` is a §4.2 schedule view over
+``op_log``'s columns, which copies nothing. Apply times (reconfiguration
+delay) and checkpoint snapshots are always kept.
 """
 from __future__ import annotations
 
@@ -68,8 +72,8 @@ class Simulator:
         self.now = 0.0
         self._heap: list = []  # (t, evseq, fn, args), events after now
         self._lane: deque = deque()  # (fn, args), events at now, FIFO
-        self._evseq = 0
-        self._gseq = 0
+        self._evseq = 0  # ordering keys taken: events and data messages
+        self._events = 0
         self._txn = 0
         self._halt_on_apply: Callable[[], bool] | None = None
         self._halted = False
@@ -117,9 +121,16 @@ class Simulator:
         else:
             raise ValueError(f"event at t={t!r} is before now={self.now!r}")
 
-    def global_seq(self) -> int:
-        self._gseq += 1
-        return self._gseq
+    def schedule_keyed(self, t: float, seq: int, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` at the ordering key ``(t, seq)``, taken from
+        ``_evseq`` when a message was sent; ``t`` is its arrival, after
+        ``now``. At most one event may be scheduled per key."""
+        heapq.heappush(self._heap, (t, seq, fn, args))
+
+    @property
+    def events(self) -> int:
+        """Events executed so far, over every call of :meth:`run`."""
+        return self._events
 
     def next_txn(self) -> int:
         self._txn += 1
@@ -155,22 +166,25 @@ class Simulator:
         self._halt_on_apply, self._halted = halt_on_apply, False
         now = self.now
         n = 0
-        while not self._halted:
-            if lane and not (heap and heap[0][0] <= now):
-                fn, args = popleft()
-            elif heap:
-                t = heap[0][0]
-                if t > until:
-                    self.now = until
+        try:
+            while not self._halted:
+                if lane and not (heap and heap[0][0] <= now):
+                    fn, args = popleft()
+                elif heap:
+                    t = heap[0][0]
+                    if t > until:
+                        self.now = until
+                        return
+                    _, _, fn, args = heappop(heap)
+                    self.now = now = t
+                else:
                     return
-                _, _, fn, args = heappop(heap)
-                self.now = now = t
-            else:
-                return
-            fn(*args)
-            n += 1
-            if n >= max_events:
-                raise RuntimeError("simulation exceeded max_events")
+                fn(*args)
+                n += 1
+                if n >= max_events:
+                    raise RuntimeError("simulation exceeded max_events")
+        finally:
+            self._events += n
 
     def start(self) -> None:
         for w in self.workers.values():

@@ -19,13 +19,22 @@ to channel backpressure, and participates in the control protocols:
   delivers the marker to it as an FCM. A checkpoint is an epoch marker
   over every edge that also snapshots the worker's configuration version
   (§7.3).
+
+Inputs are read in arrival order. A worker keeps a ready heap of the head
+arrival keys of its open inputs (see :mod:`.channel`). While it is idle
+with no dispatch scheduled, a wake is pending at its earliest future data
+arrival on any input. A wake runs at that message's arrival key, where a
+delivery event for it would run, and like one it notifies the worker; an
+arrival at a busy worker costs no event.
 """
 from __future__ import annotations
 
-import heapq
 import random
 import zlib
+from bisect import bisect_right
 from collections import deque
+from heapq import heappop, heappush, heapreplace
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.core.parallel import worker_name
@@ -38,8 +47,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
 
 
+_arrival = itemgetter(0)
+
+
 class Worker:
     """One parallel instance of an operator in the simulated engine."""
+
+    __slots__ = ("sim", "op", "index", "name", "id", "rng", "inputs", "ready", "out",
+                 "version", "_cost", "applied", "multiversion", "control", "state",
+                 "_pending", "_dispatch_scheduled", "_wakes", "_finish_at", "_aligning",
+                 "_sj_state", "processed", "_emitted", "_src_pending")
 
     def __init__(self, sim: "Simulator", op: OpSpec, index: int, wid: int) -> None:
         self.sim = sim
@@ -53,11 +70,11 @@ class Worker:
             zlib.crc32(f"{sim.spec.seed}/{op.name}/{index}".encode())
         )
         self.inputs: list[Channel] = []
-        # Ready heap of (head global seq, input index). It holds an entry for
-        # the head of every non-blocked, non-empty input; entries whose
-        # channel got blocked, emptied or moved past that head are stale and
-        # dropped when they reach the top.
-        self.ready: list[tuple[int, int]] = []
+        # Ready heap of (head arrival time, head seq, input index). It holds
+        # an entry for the head of every non-blocked, non-empty input, arrived
+        # or not; entries whose channel got blocked, emptied or moved past
+        # that head are stale and dropped when they reach the top.
+        self.ready: list[tuple[float, int, int]] = []
         # Per logical out-edge: (dst op name, strategy, channels by dst index).
         self.out: list[tuple[str, str, list[Channel]]] = []
         self.version = 1
@@ -68,6 +85,8 @@ class Worker:
         self.state = "idle"  # idle | busy | blocked
         self._pending: list[tuple[Channel, DataMsg]] = []
         self._dispatch_scheduled = False
+        self._wakes: list[tuple] = []  # heap of the queue entries with a pending wake
+        self._finish_at = 0.0  # when the tuple being processed finishes
         # Marker alignment: marker -> the input channels it has arrived on,
         # blocked meanwhile.
         self._aligning: dict[EpochMarker, list[Channel]] = {}
@@ -94,7 +113,7 @@ class Worker:
         processing of a tuple and markers stay FIFO behind sent data."""
         while self.control:
             fcm = self.control.popleft()
-            if isinstance(fcm, EpochMarker):
+            if type(fcm) is EpochMarker:
                 # Plan head: open the component's epoch.
                 self._open_epoch(fcm)
             elif fcm == "register":
@@ -122,7 +141,7 @@ class Worker:
         for dst_op, _, channels in self.out:
             if (self.op.name, dst_op) in marker.edges:
                 for ch in channels:
-                    ch.send(marker)
+                    ch.send_marker(marker)
 
     # ------------------------------------------------------------------
     # data plane
@@ -132,6 +151,25 @@ class Worker:
             self._dispatch_scheduled = True
             self.sim.schedule(self.sim.now, self._dispatch)
 
+    def _expect(self, entry: tuple) -> None:
+        """A data message was sent to this idle worker and arrives at the
+        key of queue entry ``entry``: wake then, unless a dispatch or an
+        earlier wake is pending."""
+        if not self._dispatch_scheduled:
+            wakes = self._wakes
+            if not wakes or entry < wakes[0]:
+                self._wake_at(entry)
+
+    def _wake_at(self, entry: tuple) -> None:
+        """Schedule a wake at the arrival key of ``entry``: it does there
+        what a delivery event of that message would do, notify."""
+        heappush(self._wakes, entry)
+        self.sim.schedule_keyed(entry[0], entry[1], self._on_wake)
+
+    def _on_wake(self) -> None:
+        heappop(self._wakes)  # wakes run in key order: this is the earliest
+        self.notify()
+
     def _dispatch(self) -> None:
         self._dispatch_scheduled = False
         while self.state == "idle":
@@ -140,30 +178,54 @@ class Worker:
                 continue
             ch = self._next_channel()
             if ch is None:
+                if not self._dispatch_scheduled:
+                    self._arm_wake()
                 return
             msg = ch.pop()
             # ch's entry is on top of the ready heap: replace it by the new head.
-            if ch.queue:
-                heapq.heapreplace(self.ready, (ch.queue[0][0], ch.index))
+            queue = ch.queue
+            if queue:
+                t, seq, _ = queue[0]
+                heapreplace(self.ready, (t, seq, ch.index))
             else:
-                heapq.heappop(self.ready)
-            if isinstance(msg, DataMsg):
+                heappop(self.ready)
+            if type(msg) is DataMsg:
                 self._start_processing(msg)
             else:
                 self._on_marker(ch, msg)
 
     def _next_channel(self) -> Channel | None:
-        """The non-blocked, non-empty input whose head arrived first (heads
-        carry global delivery seqs, so there are no ties), or None. Its
-        entry is left on top of the ready heap."""
+        """The non-blocked input whose head arrived first, or None if no
+        such head has arrived. Arrival keys never tie. The input's entry,
+        or the earliest entry not yet arrived, is left on top of the ready
+        heap."""
         ready, inputs = self.ready, self.inputs
         while ready:
-            seq, i = ready[0]
+            t, seq, i = ready[0]
             ch = inputs[i]
-            if not ch.blocked and ch.queue and ch.queue[0][0] == seq:
-                return ch
-            heapq.heappop(ready)
+            queue = ch.queue
+            if not ch.blocked and queue and queue[0][1] == seq:
+                return ch if t <= self.sim.now else None
+            heappop(ready)
         return None
+
+    def _arm_wake(self) -> None:
+        """Idle, with nothing arrived on an open input and no dispatch
+        scheduled: wake at the earliest future arrival on any input. Blocked
+        inputs count too, since a delivery event would notify this worker
+        for them as well. A marker arrival notifies by its own event."""
+        now, ready = self.sim.now, self.ready
+        first = self.inputs[ready[0][2]].queue[0] if ready else None
+        for blocked in self._aligning.values():
+            for c in blocked:
+                queue = c.queue
+                j = bisect_right(queue, now, key=_arrival)
+                if j < len(queue) and (first is None or queue[j] < first):
+                    first = queue[j]
+        # Every pending wake is at a future arrival, so none is before first.
+        wakes = self._wakes
+        if first is not None and type(first[2]) is DataMsg and (not wakes or first < wakes[0]):
+            self._wake_at(first)
 
     def _start_processing(self, msg: DataMsg) -> None:
         version = (
@@ -176,7 +238,8 @@ class Worker:
         cost = self._cost.get(version)
         if cost is None:
             cost = self._cost[version] = self.op.cost_at(version, self.index)
-        self.sim.schedule(self.sim.now + cost, self._finish, msg, version)
+        self._finish_at = t = self.sim.now + cost
+        self.sim.schedule(t, self._finish, msg, version)
 
     def _finish(self, msg: DataMsg, version: int) -> None:
         self.processed += 1
@@ -187,53 +250,39 @@ class Worker:
     def _emissions(self, msg: DataMsg) -> list[tuple[Channel, DataMsg]]:
         op, out = self.op, self.out
         kind = op.kind
-        targets: list[tuple[int, int]] = []  # (out-edge idx, key)
-        if kind in ("map", "union"):
-            targets = [(i, msg.key) for i in range(min(1, len(out)))]
+        emits: list[tuple[Channel, DataMsg]] = []
+        if kind == "map" or kind == "union":
+            if out:
+                _route(emits, out[0], msg, msg.key)
         elif kind == "filter":
-            if self.rng.random() < op.selectivity:
-                targets = [(0, msg.key)] if out else []
+            if self.rng.random() < op.selectivity and out:
+                _route(emits, out[0], msg, msg.key)
         elif kind == "split":
             if out:
-                targets = [(msg.key % len(out), msg.key)]
+                _route(emits, out[msg.key % len(out)], msg, msg.key)
         elif kind == "join":
             if out and self.rng.random() < op.selectivity:
                 for _ in range(op.fanout):
                     key = op.out_key.sample(self.rng) if op.out_key else msg.key
-                    targets.append((0, key))
+                    _route(emits, out[0], msg, key)
         elif kind == "replicate":
-            targets = [(i, msg.key) for i in range(len(out))]
+            for edge in out:
+                _route(emits, edge, msg, msg.key)
         elif kind == "selfjoin":
             n = self._sj_state.get(msg.txn, 0) + 1
             if n >= op.arity:
                 self._sj_state.pop(msg.txn, None)
                 if out:
-                    targets = [(0, msg.key)]
+                    _route(emits, out[0], msg, msg.key)
             else:
                 self._sj_state[msg.txn] = n
         elif kind == "sink":
             self.sim.log_sink(msg)
-            targets = []
-        emits: list[tuple[Channel, DataMsg]] = []
-        for edge_idx, key in targets:
-            dst_op, strategy, channels = out[edge_idx]
-            child = DataMsg(
-                txn=msg.txn,
-                key=key,
-                created=msg.created,
-                version_tag=msg.version_tag,
-            )
-            if strategy == "broadcast":
-                emits.extend((ch, child) for ch in channels)
-            elif strategy == "forward":
-                emits.append((channels[0], child))
-            else:  # hash
-                emits.append((channels[key % len(channels)], child))
         return emits
 
     def _try_emit(self) -> None:
         for ch, _ in self._pending:
-            if ch.in_transit + len(ch.queue) >= ch.capacity:
+            if ch.data_load() >= ch.capacity:
                 return  # stay blocked; on_channel_freed retries
         for ch, m in self._pending:
             ch.send(m)
@@ -241,7 +290,7 @@ class Worker:
         self.state = "idle"
         self.notify()
 
-    def on_channel_freed(self, channel: Channel) -> None:
+    def on_channel_freed(self) -> None:
         if self.state == "blocked" and self._pending:
             self._try_emit()
         elif self.op.kind == "source" and self._src_pending is not None:
@@ -262,7 +311,8 @@ class Worker:
         for c in self._aligning.pop(marker):
             c.blocked = False
             if c.queue:
-                heapq.heappush(self.ready, (c.queue[0][0], c.index))
+                t, seq, _ = c.queue[0]
+                heappush(self.ready, (t, seq, c.index))
         self._open_epoch(marker)
         self.notify()
 
@@ -308,7 +358,7 @@ class Worker:
             else:
                 emits.append((channels[msg.key % len(channels)], msg))
         for ch, _ in emits:
-            if ch.in_transit + len(ch.queue) >= ch.capacity:
+            if ch.data_load() >= ch.capacity:
                 return  # backpressured; resumed by on_channel_freed
         self.sim.log_data(self.id, msg.txn, self.version)
         for ch, m in emits:
@@ -323,3 +373,16 @@ class Worker:
             return
         rate = self.op.rate_at(self.sim.now)
         self.sim.schedule(self.sim.now + 1.0 / rate, self._source_emit)
+
+
+def _route(emits: list, edge: tuple[str, str, list[Channel]], msg: DataMsg, key: int) -> None:
+    """Add the child of ``msg`` with ``key`` on out-edge ``edge`` to
+    ``emits``, on the channel(s) its partitioning picks."""
+    _, strategy, channels = edge
+    child = DataMsg(msg.txn, key, msg.created, msg.version_tag)
+    if strategy == "broadcast":
+        emits.extend((ch, child) for ch in channels)
+    elif strategy == "forward":
+        emits.append((channels[0], child))
+    else:  # hash
+        emits.append((channels[key % len(channels)], child))

@@ -1,5 +1,5 @@
 """Engine substrate tests: channels, workers, routing, backpressure, and
-the event loop's order."""
+the event loop's order, against reference loops and delivery paths."""
 import heapq
 import importlib.util
 import math
@@ -14,7 +14,9 @@ from repro.core import check
 from repro.core.dag import DAG
 from repro.core.transactions import UPDATE_TXN, Schedule, UpdateOp
 from repro.engine import (
+    Channel,
     CheckpointCoordinator,
+    DataMsg,
     EpochScheduler,
     FriesScheduler,
     KeyDist,
@@ -24,6 +26,7 @@ from repro.engine import (
     Worker,
     WorkflowSpec,
 )
+from repro.engine import simulator as simulator_module
 from repro.engine.workload import EdgeSpec
 
 from .test_engine_schedulers import _random_chain_spec
@@ -290,15 +293,17 @@ def _random_run(cls, seed: int, marker: str) -> Simulator:
 class TestReadyHeap:
     def test_next_channel_is_brute_force_minimum(self, monkeypatch):
         """Every dispatch picks, from the worker's ready heap, exactly the
-        input a scan would: the non-blocked, non-empty channel with the
-        smallest head seq. Random specs run Fries, EBR and checkpoint
+        input a scan would: the non-blocked channel with the smallest
+        arrived head key. Random specs run Fries, EBR and checkpoint
         markers, so channels block and unblock with data queued."""
         next_channel = Worker._next_channel
         seen = {"dispatches": 0, "queued_behind_block": 0}
 
         def checked(worker):
-            ready = [c for c in worker.inputs if not c.blocked and c.queue]
-            expected = min(ready, key=lambda c: c.queue[0][0], default=None)
+            now = worker.sim.now
+            ready = [c for c in worker.inputs
+                     if not c.blocked and c.queue and c.queue[0][0] <= now]
+            expected = min(ready, key=lambda c: c.queue[0][:2], default=None)
             seen["dispatches"] += 1
             seen["queued_behind_block"] += any(c.blocked and c.queue for c in worker.inputs)
             chosen = next_channel(worker)
@@ -337,6 +342,56 @@ class HeapOnlySimulator(Simulator):
             n += 1
             if n >= max_events:
                 raise RuntimeError("simulation exceeded max_events")
+
+
+class DeliveryChannel(Channel):
+    """Reference delivery path: every message, data or marker, is queued by
+    a delivery event at its arrival, which notifies the destination; a
+    data message in flight counts against capacity; every data pop sends
+    the sender a freed notice."""
+
+    __slots__ = ("in_transit",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.in_transit = 0
+
+    def data_load(self):
+        return self.in_transit + len(self.queue)
+
+    def send(self, msg):
+        self.in_transit += 1
+        self.sim.schedule(self.sim.now + self.latency, self._deliver, msg)
+
+    def send_marker(self, marker):
+        self.sim.schedule(self.sim.now + self.latency, self._deliver, marker)
+
+    def _deliver(self, msg):
+        sim = self.sim
+        if type(msg) is DataMsg:
+            self.in_transit -= 1
+        sim.delivered += 1  # delivery order: the ready heap's key
+        if not self.queue and not self.blocked:
+            heapq.heappush(self.dst.ready, (sim.now, sim.delivered, self.index))
+        self.queue.append((sim.now, sim.delivered, msg))
+        self.dst.notify()
+
+    def pop(self):
+        msg = self.queue.popleft()[2]
+        if type(msg) is DataMsg:
+            self.sim.schedule(self.sim.now, self.src.on_channel_freed)
+        return msg
+
+
+class DeliverySimulator(Simulator):
+    """The simulator over :class:`DeliveryChannel`: every queued message has
+    arrived, so the workers never arm a wake."""
+
+    def __init__(self, spec, **kwargs):
+        self.delivered = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator_module, "Channel", DeliveryChannel)
+            super().__init__(spec, **kwargs)
 
 
 def _observed(sim: Simulator):
@@ -395,27 +450,35 @@ class TestSameTimeLane:
             assert _observed(sim) == _observed(ref)
 
     def test_event_accounting(self, monkeypatch):
-        """``_evseq`` counts every scheduled event, lane events included, so
-        ``_evseq`` minus the queued events is the number executed."""
+        """``events`` is the number of callbacks the loop executed, on a
+        drained run and on a halted one, over every call of ``run``."""
         executed = [0]
+
+        def counted(fn):
+            def run(*a):
+                executed[0] += 1
+                fn(*a)
+
+            return run
 
         class Counted(Simulator):
             def schedule(self, t, fn, *args):
-                def counted(*a):
-                    executed[0] += 1
-                    fn(*a)
+                super().schedule(t, counted(fn), *args)
 
-                super().schedule(t, counted, *args)
+            def schedule_keyed(self, t, seq, fn, *args):
+                super().schedule_keyed(t, seq, counted(fn), *args)
 
         sim = Counted(chain_spec())
         sim.start()
+        sim.run(until=0.02)
         sim.run()
-        assert sim._evseq == executed[0] > 0
+        assert not sim._heap and not sim._lane
+        assert sim.events == executed[0] > 0
 
         executed[0] = 0
         sim, _ = _halt_case_run(Counted, "W2", FriesScheduler, True, monkeypatch)
         assert sim._heap and sim._lane  # halted with events of both kinds queued
-        assert sim._evseq - len(sim._heap) - len(sim._lane) == executed[0]
+        assert sim.events == executed[0] > 0
 
     def test_max_events_counts_lane_events(self):
         sim = Simulator(chain_spec())
@@ -440,6 +503,75 @@ class TestSameTimeLane:
             sim.run(until=0.01)
         sim.run()
         assert sim.now > 0.02
+
+
+def _stress_run(cls, seed: int, make) -> Simulator:
+    """A random pipeline plus a second source feeding its last middle
+    operator, whose inputs thus may differ in latency. About half the
+    middle operators cost nothing, so a sender finishes in the same instant
+    as the pop that frees its room; channels have latency 0.001 or 0.003
+    and capacity 3 or 100. A request from ``make`` at a random time, run
+    to the end."""
+    rng = random.Random(seed)
+    chain, names = _random_chain_spec(rng)
+    ops = dict(chain.ops, src2=OpSpec("src2", kind="source", rate=rng.choice([200, 500]),
+                                      n_tuples=150, key_dist=KeyDist.uniform(30)))
+    dag = DAG.from_edges(chain.dag.edges + [("src2", names[-1])],
+                         one_to_many=[n for n in names if ops[n].kind == "join"])
+    spec = WorkflowSpec(dag=dag, ops=ops, edges=dict(chain.edges), seed=chain.seed)
+    for name in names:
+        if rng.random() < 0.5:
+            ops[name].cost = {1: 0.0}
+    for edge in spec.edges.values():
+        edge.latency = rng.choice([0.001, 0.003])
+        edge.capacity = rng.choice([3, 100])
+    reconfig_ops = set(rng.sample(names, rng.randint(1, 2)))
+    t = rng.uniform(0.05, 0.3)
+    sim = cls(spec)
+    sim.start()
+    sim.run(until=t)
+    make().request(sim, reconfig_ops, t)
+    sim.run()
+    return sim
+
+
+class TestArrivalsWithoutEvents:
+    """Data messages carry their arrival key and have no delivery event,
+    only an idle worker gets a wake, and only a sender that is or may soon
+    be waiting gets a freed notice. Every run matches the reference
+    delivery path, which has an event for each of these."""
+
+    @pytest.mark.parametrize("marker", ["fries", "ebr", "checkpoint", "naive"])
+    def test_random_specs_match_delivery_path(self, marker):
+        for seed in range(12):
+            ref = _random_run(DeliverySimulator, seed, marker)
+            sim = _random_run(Simulator, seed, marker)
+            assert _observed(sim) == _observed(ref), seed
+            assert sim.events < ref.events
+
+    @pytest.mark.parametrize("make", [FriesScheduler, EpochScheduler], ids=["fries", "ebr"])
+    def test_stress_specs_match_delivery_path(self, make):
+        for seed in range(40):
+            ref = _stress_run(DeliverySimulator, seed, make)
+            sim = _stress_run(Simulator, seed, make)
+            assert _observed(sim) == _observed(ref), seed
+
+    @pytest.mark.parametrize("halted", [True, False], ids=["run_delay", "t_max"])
+    @pytest.mark.parametrize("wf", sorted(HALT_CASES))
+    def test_workflows_match_delivery_path(self, wf, halted, monkeypatch):
+        for make in (FriesScheduler, EpochScheduler):
+            ref, ref_delay = _halt_case_run(DeliverySimulator, wf, make, halted, monkeypatch)
+            sim, delay = _halt_case_run(Simulator, wf, make, halted, monkeypatch)
+            assert delay == ref_delay and math.isfinite(delay)
+            assert _observed(sim) == _observed(ref)
+
+    @pytest.mark.parametrize("latency", [0.0, -0.001, math.nan])
+    def test_nonpositive_latency_rejected(self, latency):
+        """A message must arrive after the instant it is sent."""
+        spec = chain_spec()
+        spec.edges[("A", "B")] = EdgeSpec("hash", latency=latency)
+        with pytest.raises(ValueError, match="latency"):
+            Simulator(spec)
 
 
 def _perfbench_flows(monkeypatch) -> dict:

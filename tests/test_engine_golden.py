@@ -85,92 +85,92 @@ def run_of(key: str) -> Simulator:
 CASES = [f"{a}-{s}" for a in ACTIONS for s in range(12)] + ["fig7-naive", "fig7-fries_safe"]
 
 GOLDEN = {
-    "fries-0": "79de47b3ebd0424e85c761e0e5cf339c09a25a6b",
-    "fries-1": "ceab76deaf2a518c395300ba80c773a4f993a42d",
-    "fries-2": "62f7d0a42e2537d5385a9aee978607f2a48370c4",
-    "fries-3": "d78daec604806e47efc427bfc849fb8748b598e2",
-    "fries-4": "e1514882bf7ff8d4b5383ae574c08d07a9e919cf",
-    "fries-5": "93f96068c1e359638755c459d18369fa320b44e6",
-    "fries-6": "9a93eddff93270b8e164a58e1edc5e4e2b4bbc4c",
-    "fries-7": "cf2afef070dee16f164b360aa5c44c525523efa4",
-    "fries-8": "2e2903686f239dae5bcd5e5b8597b0656fc3eb82",
-    "fries-9": "597a73452c4387c6a7be283f18f6a061ec865995",
-    "fries-10": "f18b367ff1a87526605b438920d3394f0faa2f5e",
-    "fries-11": "c3e5daf9cda3510a340d0c23b9f198e8608c5fc4",
-    "ebr-0": "e2dde4fffbf26ee18f4bc4f572c59a019756b098",
-    "ebr-1": "39ef19780111df0b65985a4ff0ed6b90c83d8bfe",
-    "ebr-2": "407be7b0c129fc409387c7d5edc83b8ba3d54d6f",
-    "ebr-3": "bbae2211a3f68d4a7537f33509d80188be2716ab",
-    "ebr-4": "d3908d316d99ed8f7907ce862f2504d90a89facf",
-    "ebr-5": "8e1a72abd78c8668d37169f3885fbc7c68526529",
-    "ebr-6": "e0eedd083c721e32cf7c244b5172005219c7d7d8",
-    "ebr-7": "8e6928c6d9eb99430ecf00a8b9d07e5b262a9b09",
-    "ebr-8": "22574aacd8554a0ec9e47720c138645556587b6c",
-    "ebr-9": "3a55dac4fb540ccaac5c81ed4000fbc08bf54ceb",
-    "ebr-10": "a022e57873c8096b2226bd78c2f8c67ca91bb2f6",
-    "ebr-11": "eca37dbf0c5c79515b27f81008261cd942b397d1",
-    "savepoint-0": "ace971ca2ad5eedfefa4c9f6e8a8d5ed567dfdb1",
-    "savepoint-1": "c068463b3bb9b6d94f783ce24042aa296cddf8a1",
-    "savepoint-2": "0753887cb848765adce0e13ff1871875c9816c27",
-    "savepoint-3": "09d9dabf51b0358190e907b7147aae26c6ce8e80",
-    "savepoint-4": "63dfbafa9e852b320c06001044bc0e999b351089",
-    "savepoint-5": "1e6e01e24535204a84d0438447f44388ba6e1c8f",
-    "savepoint-6": "0cf79d0e8e4c7d241f7e5c0dc4904fc0a75d21f0",
-    "savepoint-7": "125a29a51c88bc1df98547938ef8cbb728338e12",
-    "savepoint-8": "dc7c5128f944b71da7ec82c3adbf50bc296366f0",
-    "savepoint-9": "4635a994b54f91bc3c2f7e46374b6422d20e5677",
-    "savepoint-10": "b06f9cd91e3d01a9b7beb3fb4e03fd61b12682ac",
-    "savepoint-11": "f111add9aa0224a3ab84b585a9cf40f92705a84a",
-    "multiversion-0": "bb435163313771a77cb6b36e11d9968f5f0c1ccf",
-    "multiversion-1": "ef4e8b2db24dc912caf90ae1133c2b41498d72c8",
-    "multiversion-2": "55c92e64ba18cd757d3addfbf5f6f35c23a407e1",
-    "multiversion-3": "2bbc4026f10a6e82d17ba7bb9cf1d2e38fdff4e2",
-    "multiversion-4": "c6f1af6fbe6f075130b20d3aa234b6670b4f1273",
-    "multiversion-5": "59c68ffb47ccef27d6bf25322d4d88799d66d048",
-    "multiversion-6": "a4a31fde43cc8351c2681c7350604782bc7f0308",
-    "multiversion-7": "ecea0536af744dece3cc45c7335e2ccdd5769b6c",
-    "multiversion-8": "75f49a82457530ade8fd953829dc50cd3d075985",
-    "multiversion-9": "f6cf4bacc165673e2b090e7cee9344adb7df61b2",
-    "multiversion-10": "9a7119348d22062c60c7d2f10dbd1e36370b81d8",
-    "multiversion-11": "de845bd77beff508ed696340b16c97cbc1f4eaaf",
-    "naive-0": "a81adec538fc2a0cb814c4351f37aeeb339d4521",
-    "naive-1": "a93649491da966214882a81845cceb7ee1c21917",
-    "naive-2": "5732140c109f01065316cd9b9fe104b5db42897f",
-    "naive-3": "fa9baa903259fe81b03d3327955cd285ebc77a65",
-    "naive-4": "b27cd020b89b3fd09a6c828ac5d3e2ea82535004",
-    "naive-5": "83f2ed39ad6e168a1681c66b98b130eda94bec76",
-    "naive-6": "9cb10814bdc1e55541b05b14ffaedec9505b8392",
-    "naive-7": "cf2afef070dee16f164b360aa5c44c525523efa4",
-    "naive-8": "2797c0be8954ef0355927ba1b29dccd0ccf04734",
-    "naive-9": "8d47e8b062aa3960a0ae9587e761437b0c7c7943",
-    "naive-10": "62d4bfc0a0d22186ab9b123ed723b647782cbefe",
-    "naive-11": "3d8717611683c208aca62219d03590442dc723d7",
-    "checkpoint-0": "3ee0ba2b865f2b86fef9544875b9d8bf80767033",
-    "checkpoint-1": "46f1b2995e066bc38a0c72874fa65b120d48590f",
-    "checkpoint-2": "9e5588064e48c5e06ad6ea714e7036521529315c",
-    "checkpoint-3": "7ec9ca26a7cc5728193628e1342e99800ff3e653",
-    "checkpoint-4": "d4461d6d77314ffb6ca1bd8e389a1fb076991838",
-    "checkpoint-5": "8353c9dbc46144b28f5dac6fbb2cf1ceaad50e93",
-    "checkpoint-6": "5595c5432a7c20dda41134416f6f291ea8cfd8a0",
-    "checkpoint-7": "bb9e4701fcda86bac433a34b10724b69c57c325d",
-    "checkpoint-8": "4fe1c56ab3d9cc41a2e7a8c5ec31dbdf0204282b",
-    "checkpoint-9": "ce3ae0af4bbc4ea618646b6e8a23379780b59556",
-    "checkpoint-10": "e46b3cc3fadb2e296c0bcf0cdff28c383b01313d",
-    "checkpoint-11": "3b61a3af265fdf5721ff9282585ff8fef3e72f67",
-    "checkpoint+fries-0": "3e8a8c051e7acb56782673f7bfb167e1ba8c62d0",
-    "checkpoint+fries-1": "03f090c80cb164fde05b5f2ec12611846fbcb641",
-    "checkpoint+fries-2": "30e805a9054583994ee85dda7a6f11b5d261b189",
-    "checkpoint+fries-3": "9e3625bd4eebc6c78a0f01b50f7ff8f20b58ed24",
-    "checkpoint+fries-4": "2ab2874e405b3ec1c3ae3b0b98031ab12aa26c73",
-    "checkpoint+fries-5": "1486bf8912c5fa876ee19760fb830bab5daf8149",
-    "checkpoint+fries-6": "192224cca8ede524ffc4c9799fb7b5e5085b17f4",
-    "checkpoint+fries-7": "689c1658c81f8852bd4abe69aab956ebd2464469",
-    "checkpoint+fries-8": "2a31cc0346a3d22fce8d63c0dc63ab1a47cd15a5",
-    "checkpoint+fries-9": "0c7cc06776cb691ea2265b1d45b9e9c11fb1c180",
-    "checkpoint+fries-10": "4201001d04f60ffa13e643e4be9660fbd1a80581",
-    "checkpoint+fries-11": "b2ebc832a1c6e8596b02316513bd63e0a76ceb55",
-    "fig7-naive": "7976421b152c7c860c0053bfb0b1ba255175f218",
-    "fig7-fries_safe": "7976421b152c7c860c0053bfb0b1ba255175f218",
+    "fries-0": "af2c78f116e3f7e6d643913d518a4c9228deb5db",
+    "fries-1": "ac175497fe3585979fcbf13936b3a6ef9a1cd80b",
+    "fries-2": "41f6a2a7dcbea6774232b14f99a74849bb7dd4ba",
+    "fries-3": "8f19b87260aff24236b6f7ea32d278af4ed6f3fa",
+    "fries-4": "ef8974eb5bded1fe40cb98ab7925d17ddf0eb7c0",
+    "fries-5": "d859be909a3aecc2cad985a3bf78c7725ce10362",
+    "fries-6": "5fbd7533e690349a3504c2c66d5df41307f2ff9d",
+    "fries-7": "4a605f0806ff173f7b34278979d6cc0286ba58ae",
+    "fries-8": "ecaa2c53196fe9572d78b1aa81b1813add128981",
+    "fries-9": "1d0cef8e211f833efa57c34edbee78cf2e649db3",
+    "fries-10": "d32f888799967f27aecb4da4e6a805185a08de5d",
+    "fries-11": "f52af4ab5dd1de262f22cd6d569577e817d0698b",
+    "ebr-0": "41e949675693e7d4f8c4195de0fd48736ce7eaea",
+    "ebr-1": "6df3c6e5c5ce472214fb0e115675bfcb10988e7f",
+    "ebr-2": "e870e938111058f281ad497f73988607760a9463",
+    "ebr-3": "877b4279d8fe48273e64a02d1281d789c0a42391",
+    "ebr-4": "e9cf7d3e405a071d75400e160d90da4815c2b067",
+    "ebr-5": "b382ac9a242aad599a43b55e5b003a5628cc869c",
+    "ebr-6": "134f8535ef1a80ea0556c00b1c052151640c0aa1",
+    "ebr-7": "63deb8a262567ab0a01e9d881666e5914a35df54",
+    "ebr-8": "b02868a911e46cdae6edc4b87bbf446bf1706175",
+    "ebr-9": "54df8bc45bd37f26c4429e817dd2c6082ab93b38",
+    "ebr-10": "1b02b38d380b537d91ae2d86e1665ff77b91ae51",
+    "ebr-11": "c46709e8c6cbfb472509ec5f7e094c972dbb0011",
+    "savepoint-0": "c90930a470dc515c09191ff567408600243b5ae3",
+    "savepoint-1": "21c363fa864ce4fa8aa0ef9ed1b260777147c36f",
+    "savepoint-2": "93c305883d725115d703765c120169c083a65b44",
+    "savepoint-3": "01d38ace909630fc6ce262645b20adf20d8a75b1",
+    "savepoint-4": "b61be94e8b8fac533b96f8da72d681ab4ab7e10c",
+    "savepoint-5": "6fc87e7020e169cb34c8a5cf1cba56ab81ec8c21",
+    "savepoint-6": "9f962b293db7817d997f56f1f61c3abbe4db8aa9",
+    "savepoint-7": "381258f510671f959c36f208cf300cb627ea9a5e",
+    "savepoint-8": "a0e3edf28a899d4bf8051d6e2b9163c7e17fa478",
+    "savepoint-9": "f146e0b256f3c6801bdb759ce0074972900eac31",
+    "savepoint-10": "cbb34601eaef706681a029e176c8c9d68be82947",
+    "savepoint-11": "73154e4331a71e2aea4858a8d438842434ad302f",
+    "multiversion-0": "5eb768570475424500f3a5e9d8e3cb3051f1efd7",
+    "multiversion-1": "b43086eb19a29e7c5183e368244d1608e9e7c267",
+    "multiversion-2": "47ed4971f1302c82801a0da864d42c50ecd16f1d",
+    "multiversion-3": "a0b5e2f201db6e9b620c95f24941537a6f74d71a",
+    "multiversion-4": "6a43cf8b07f1d111d532c1832111a72aaf71aec7",
+    "multiversion-5": "17778d8e8d0a73be7b81a6eab3576ea849e77824",
+    "multiversion-6": "9e7e41eac3e5ddb30b5b7f3358d5ddc3b6efe841",
+    "multiversion-7": "7e3de348f71c5eae8bdf9ad75b51c700dfb6c540",
+    "multiversion-8": "5efaa195d54a0abc6334688625022970949ae8fb",
+    "multiversion-9": "5a47977292c0a2be62c47baa782a16fc78cc0ca3",
+    "multiversion-10": "2a239ae13698d49679b1efc6943589b8dc20de6e",
+    "multiversion-11": "5fbd67edbabaddabb4ecbef71af3466f531f92eb",
+    "naive-0": "83368761ba400a14cfaf9fc36dc1243da79ae58b",
+    "naive-1": "9fb6fb56eb116497edfe8c8ee5e6bd6111453b6c",
+    "naive-2": "84af3e382b1418d828b0c29319aba160a8388a08",
+    "naive-3": "e1336234e9c52c0fbb4b827777dceaf86111fd3e",
+    "naive-4": "2497a0795391ca414c81f83562b28180452942f1",
+    "naive-5": "531456877d245a8d3313af8eeb524fa6d0f52a70",
+    "naive-6": "8edc372798c04c367268565ddf6ca88f4c72b0de",
+    "naive-7": "4a605f0806ff173f7b34278979d6cc0286ba58ae",
+    "naive-8": "bf60dab4586f54918ce042ebf0bb5ae352038285",
+    "naive-9": "81f9b6763621306474c56ccfebdef67a75671693",
+    "naive-10": "65a7d1cd9de6930f24b06384ccd43299300df506",
+    "naive-11": "df668f7bc1a77f3dd42e973a7a83d4eb966e52c2",
+    "checkpoint-0": "3dcad6c804c1eb8b6a10e33bb672106aac2105d4",
+    "checkpoint-1": "b6515c2d98928c80ccccb0b93c6966243f6ad150",
+    "checkpoint-2": "cc9d39b19638290b9b45805fd4b07181eb114225",
+    "checkpoint-3": "8295c9138646eba2fef8387479aadd1156b0f70c",
+    "checkpoint-4": "12199fea9e314a8e58dfdbf3e285a683bf1c6823",
+    "checkpoint-5": "ce390efde7fe0740aa3ace29e53eb75ba32545a2",
+    "checkpoint-6": "793f497cc8f3847ce919b4868eeeb0980c4d880d",
+    "checkpoint-7": "9151f72c829f905743042d693de9317b5b710d8c",
+    "checkpoint-8": "a19098753fd33713d681c6878b71913a83e02cfc",
+    "checkpoint-9": "84ae8a0673bdd879b6cd1ef1c3d9a686a6d6b0da",
+    "checkpoint-10": "99b67083d99bf8e64f92da3624d02fcb7c096549",
+    "checkpoint-11": "a38bcdfd5c30bd24381935ae6a471ac0fa00be10",
+    "checkpoint+fries-0": "0ec4eda1b5576e06cad1eacc09deb70f2c242c90",
+    "checkpoint+fries-1": "060ab5b974517799343710fd0271b368f5f5d9d3",
+    "checkpoint+fries-2": "8fa62e86c2dc6b362bd1e03eba64ff7393a1c9c5",
+    "checkpoint+fries-3": "beff7c003a608608759662fe97c54d3c2422de37",
+    "checkpoint+fries-4": "f40e3593d54fce80eac6f89908c1d93449ccf8ad",
+    "checkpoint+fries-5": "677ffaf6bdb621df4e5e869e62d973ff6d284c53",
+    "checkpoint+fries-6": "415051f7d93a3545f6f7743ebbcef79b05e365d2",
+    "checkpoint+fries-7": "843c8790368677686da5577aa73c52bcd7eebbbf",
+    "checkpoint+fries-8": "c55cf832108a4e4d5cbe712234634c76e44b9cdd",
+    "checkpoint+fries-9": "cc3d9a284cef078e70f4a6d7de02be6998d36291",
+    "checkpoint+fries-10": "e5cf38895cbbc15cb4c5601ff3a1b248a4a1cf7a",
+    "checkpoint+fries-11": "aa55f64d39535810e9d7cb4a23b4b9fa4167a1cc",
+    "fig7-naive": "3b9750bdc03a3d52a3ffea7a4ac529f9d8dfb5e2",
+    "fig7-fries_safe": "3b9750bdc03a3d52a3ffea7a4ac529f9d8dfb5e2",
 }
 
 
