@@ -15,8 +15,9 @@ destination.
 
 Capacity counts the data messages sent and not yet popped, plus the markers
 that have arrived and are not yet popped; a marker in flight does not count.
-When a data message does not fit, the sending worker blocks (backpressure
-propagates upstream — §3.2's reason small buffers do not fix epoch delay).
+When a data message does not fit, the sending worker — operator or source
+— blocks until a pop frees room (backpressure propagates upstream to the
+sources — §3.2's reason small buffers do not fix epoch delay).
 A marker is always sent, whatever the load, and is strictly FIFO-ordered
 behind previously sent data.
 
@@ -99,14 +100,13 @@ class Channel:
     # -- consumer side -----------------------------------------------------
     def pop(self):
         """Pop the head, which has arrived. Popping data frees room: the
-        sender gets a notice if it is waiting for room, or may start waiting
-        before the notice runs — busy with a finish due now, which the lane
-        runs before the notice. A notice to any other sender would find it
-        idle or busy and do nothing."""
+        sender gets a notice if it is waiting for room (``blocked``, sources
+        included), or may start waiting before the notice runs — busy with a
+        finish due now, which the lane runs before the notice. A notice to
+        any other sender would find it idle or busy and do nothing."""
         msg = self.queue.popleft()[2]
         if type(msg) is DataMsg:
             src, now = self.src, self.sim.now
-            if (src.state == "blocked" or src._src_pending is not None
-                    or (src.state == "busy" and src._finish_at == now)):
+            if src.state == "blocked" or (src.state == "busy" and src._finish_at == now):
                 self.sim.schedule(now, src.on_channel_freed)
         return msg

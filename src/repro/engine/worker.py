@@ -2,7 +2,13 @@
 
 Each worker processes one data tuple at a time (cost = seconds per tuple of
 its current configuration version), emits derived tuples downstream subject
-to channel backpressure, and participates in the control protocols:
+to channel backpressure, and participates in the control protocols. A
+source is a worker whose tuples come from a clock instead of an input: it
+routes each new tuple into the same pending outputs as any operator and
+sends them the same way, so a source whose outputs do not fit is
+``blocked`` like any other worker (§3.2's backpressure reaching the plan
+heads). Its tuple counts as processed, is logged and gets its
+multi-version tag only once it is sent.
 
 * **FCMs** are handled between tuples — immediately if the worker is idle,
   otherwise right after the current tuple finishes and its outputs flush
@@ -56,7 +62,7 @@ class Worker:
     __slots__ = ("sim", "op", "index", "name", "id", "rng", "inputs", "ready", "out",
                  "version", "_cost", "applied", "multiversion", "control", "state",
                  "_pending", "_dispatch_scheduled", "_wakes", "_finish_at", "_aligning",
-                 "_sj_state", "processed", "_emitted", "_src_pending")
+                 "_sj_state", "processed", "_emitted", "_txn")
 
     def __init__(self, sim: "Simulator", op: OpSpec, index: int, wid: int) -> None:
         self.sim = sim
@@ -93,9 +99,9 @@ class Worker:
         # Self-join per-transaction arrival counts.
         self._sj_state: dict[int, int] = {}
         self.processed = 0
-        # Source state.
+        # Source state: tuples sent, and the txn of the tuple being emitted.
         self._emitted = 0
-        self._src_pending: DataMsg | None = None
+        self._txn = 0
 
     # ------------------------------------------------------------------
     # control plane
@@ -109,8 +115,9 @@ class Worker:
 
     def _handle_control(self) -> None:
         """Drain the control queue. Only called between tuples (idle, or a
-        source between emissions), so configuration swaps never split the
-        processing of a tuple and markers stay FIFO behind sent data."""
+        source whose tuple is not sent yet), so configuration swaps never
+        split the processing of a tuple and markers stay FIFO behind sent
+        data."""
         while self.control:
             fcm = self.control.popleft()
             if type(fcm) is EpochMarker:
@@ -281,20 +288,22 @@ class Worker:
         return emits
 
     def _try_emit(self) -> None:
-        for ch, _ in self._pending:
+        pending = self._pending
+        for ch, _ in pending:
             if ch.data_load() >= ch.capacity:
                 return  # stay blocked; on_channel_freed retries
-        for ch, m in self._pending:
+        for ch, m in pending:
             ch.send(m)
         self._pending = []
         self.state = "idle"
-        self.notify()
+        if self.op.kind == "source":
+            self._sent(pending)
+        else:
+            self.notify()
 
     def on_channel_freed(self) -> None:
-        if self.state == "blocked" and self._pending:
+        if self.state == "blocked":
             self._try_emit()
-        elif self.op.kind == "source" and self._src_pending is not None:
-            self._source_try_send()
 
     # ------------------------------------------------------------------
     # epoch markers
@@ -326,44 +335,26 @@ class Worker:
     def _source_emit(self) -> None:
         if self.op.n_tuples is not None and self._emitted >= self.op.n_tuples:
             return
-        if self._src_pending is not None:
-            return
-        txn = self.sim.next_txn()
+        self._txn = self.sim.next_txn()
         key = (
             self.op.key_dist.sample(self.rng)
             if self.op.key_dist
             else self.rng.randrange(1 << 30)
         )
-        self._src_pending = DataMsg(
-            txn=txn,
-            key=key,
-            created=self.sim.now,
-            version_tag=self.version if self.multiversion else None,
-        )
-        self._source_try_send()
+        msg = DataMsg(self._txn, key, self.sim.now)
+        for edge in self.out:
+            _route(self._pending, edge, msg, key)
+        self.state = "blocked"
+        self._try_emit()
 
-    def _source_try_send(self) -> None:
-        msg = self._src_pending
-        assert msg is not None
-        # Tag lazily so a version bump while blocked tags correctly: the
-        # tuple enters the stream only now.
+    def _sent(self, copies: list[tuple[Channel, DataMsg]]) -> None:
+        """The source's tuple entered the stream: tag it with the version
+        of now, not of its creation, since a version bump may arrive while
+        the source is blocked; log it and schedule the next one."""
         if self.multiversion:
-            msg.version_tag = self.version
-        emits: list[tuple[Channel, DataMsg]] = []
-        for dst_op, strategy, channels in self.out:
-            if strategy == "broadcast":
-                emits.extend((ch, msg) for ch in channels)
-            elif strategy == "forward":
-                emits.append((channels[self.index % len(channels)], msg))
-            else:
-                emits.append((channels[msg.key % len(channels)], msg))
-        for ch, _ in emits:
-            if ch.data_load() >= ch.capacity:
-                return  # backpressured; resumed by on_channel_freed
-        self.sim.log_data(self.id, msg.txn, self.version)
-        for ch, m in emits:
-            ch.send(m)
-        self._src_pending = None
+            for _, m in copies:
+                m.version_tag = self.version
+        self.sim.log_data(self.id, self._txn, self.version)
         self._emitted += 1
         self.processed += 1
         self._schedule_next_emit()
