@@ -98,6 +98,9 @@ class Simulator:
         parallelism = spec.parallelism()
         for (a, b) in spec.dag.edges:
             es = spec.edge_spec((a, b))
+            if spec.ops[a].kind == "join" and spec.ops[a].fanout > es.capacity:
+                raise ValueError(f"join {a!r} has fanout {spec.ops[a].fanout}, more than "
+                                 f"the capacity {es.capacity} of edge {a}->{b}")
             outs: list[list[Channel]] = [[] for _ in self.by_op[a]]
             for i, j in worker_pairs((a, b), es.strategy, parallelism):
                 ch = Channel(self, self.by_op[a][i], self.by_op[b][j],

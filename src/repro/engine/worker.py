@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -288,10 +288,17 @@ class Worker:
         return emits
 
     def _try_emit(self) -> None:
+        """Send the pending outputs if they all fit, each channel counting
+        its own entries; otherwise stay blocked until on_channel_freed."""
         pending = self._pending
-        for ch, _ in pending:
+        if len(pending) == 1:
+            ch = pending[0][0]
             if ch.data_load() >= ch.capacity:
-                return  # stay blocked; on_channel_freed retries
+                return
+        elif pending:
+            for ch, n in Counter(ch for ch, _ in pending).items():
+                if ch.data_load() + n > ch.capacity:
+                    return
         for ch, m in pending:
             ch.send(m)
         self._pending = []

@@ -222,6 +222,44 @@ class TestBackpressure:
         assert total > 100  # backlog accumulated in the channel
 
 
+class TestBatchCapacity:
+    """A join's fanout copies can hash onto one channel: the batch fits
+    only if all of them do."""
+
+    def make(self, fanout: int, capacity: int = 4) -> WorkflowSpec:
+        dag = DAG.from_edges([("src", "J"), ("J", "slow"), ("slow", "sink")])
+        ops = {
+            "src": OpSpec("src", kind="source", rate=1000, n_tuples=100,
+                          key_dist=KeyDist.uniform(10)),
+            "J": OpSpec("J", kind="join", fanout=fanout),
+            "slow": OpSpec("slow", kind="map", cost={1: 0.01}),
+            "sink": OpSpec("sink", kind="sink"),
+        }
+        edges = {("J", "slow"): EdgeSpec("hash", capacity=capacity)}
+        return WorkflowSpec(dag=dag, ops=ops, edges=edges)
+
+    def test_fanout_batch_never_exceeds_capacity(self, monkeypatch):
+        loads: list[int] = []
+        send = Channel.send
+
+        def recorded(ch, msg):
+            send(ch, msg)
+            if ch.src.op.name == "J":
+                loads.append(ch.data_load())
+
+        monkeypatch.setattr(Channel, "send", recorded)
+        sim = Simulator(self.make(fanout=3))
+        sim.start()
+        sim.run()
+        assert len(sim.sink_log) == 300
+        assert max(loads) == 4  # the channel fills up, and no further
+
+    def test_fanout_above_capacity_rejected(self):
+        with pytest.raises(ValueError, match="fanout 5"):
+            Simulator(self.make(fanout=5))
+        Simulator(self.make(fanout=4))
+
+
 class TestParallelRouting:
     def test_hash_partitioning_groups_keys(self):
         dag = DAG.from_edges([("src", "A"), ("A", "sink")])

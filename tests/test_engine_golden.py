@@ -95,7 +95,7 @@ GOLDEN = {
     "fries-7": "4a605f0806ff173f7b34278979d6cc0286ba58ae",
     "fries-8": "ecaa2c53196fe9572d78b1aa81b1813add128981",
     "fries-9": "1d0cef8e211f833efa57c34edbee78cf2e649db3",
-    "fries-10": "d32f888799967f27aecb4da4e6a805185a08de5d",
+    "fries-10": "31ebb000fce62370cb0866258f7d61b1c5a94d16",
     "fries-11": "f52af4ab5dd1de262f22cd6d569577e817d0698b",
     "ebr-0": "41e949675693e7d4f8c4195de0fd48736ce7eaea",
     "ebr-1": "6df3c6e5c5ce472214fb0e115675bfcb10988e7f",
@@ -107,7 +107,7 @@ GOLDEN = {
     "ebr-7": "63deb8a262567ab0a01e9d881666e5914a35df54",
     "ebr-8": "b02868a911e46cdae6edc4b87bbf446bf1706175",
     "ebr-9": "54df8bc45bd37f26c4429e817dd2c6082ab93b38",
-    "ebr-10": "1b02b38d380b537d91ae2d86e1665ff77b91ae51",
+    "ebr-10": "6f077062d169fe19b78655ebbe6d33bd07aeeb1a",
     "ebr-11": "c46709e8c6cbfb472509ec5f7e094c972dbb0011",
     "savepoint-0": "c90930a470dc515c09191ff567408600243b5ae3",
     "savepoint-1": "21c363fa864ce4fa8aa0ef9ed1b260777147c36f",
@@ -119,7 +119,7 @@ GOLDEN = {
     "savepoint-7": "381258f510671f959c36f208cf300cb627ea9a5e",
     "savepoint-8": "a0e3edf28a899d4bf8051d6e2b9163c7e17fa478",
     "savepoint-9": "f146e0b256f3c6801bdb759ce0074972900eac31",
-    "savepoint-10": "cbb34601eaef706681a029e176c8c9d68be82947",
+    "savepoint-10": "1404a4ecc9d2c1a4536bfb0044db2334bf263dbe",
     "savepoint-11": "73154e4331a71e2aea4858a8d438842434ad302f",
     "multiversion-0": "5eb768570475424500f3a5e9d8e3cb3051f1efd7",
     "multiversion-1": "b43086eb19a29e7c5183e368244d1608e9e7c267",
@@ -131,7 +131,7 @@ GOLDEN = {
     "multiversion-7": "7e3de348f71c5eae8bdf9ad75b51c700dfb6c540",
     "multiversion-8": "5efaa195d54a0abc6334688625022970949ae8fb",
     "multiversion-9": "5a47977292c0a2be62c47baa782a16fc78cc0ca3",
-    "multiversion-10": "2a239ae13698d49679b1efc6943589b8dc20de6e",
+    "multiversion-10": "235066bd66c3d8fbaad3c9316bc9e9a573d82273",
     "multiversion-11": "5fbd67edbabaddabb4ecbef71af3466f531f92eb",
     "naive-0": "83368761ba400a14cfaf9fc36dc1243da79ae58b",
     "naive-1": "9fb6fb56eb116497edfe8c8ee5e6bd6111453b6c",
@@ -143,7 +143,7 @@ GOLDEN = {
     "naive-7": "4a605f0806ff173f7b34278979d6cc0286ba58ae",
     "naive-8": "bf60dab4586f54918ce042ebf0bb5ae352038285",
     "naive-9": "81f9b6763621306474c56ccfebdef67a75671693",
-    "naive-10": "65a7d1cd9de6930f24b06384ccd43299300df506",
+    "naive-10": "198666d0f962ebac37a70477db18d06545b1f6eb",
     "naive-11": "df668f7bc1a77f3dd42e973a7a83d4eb966e52c2",
     "checkpoint-0": "3dcad6c804c1eb8b6a10e33bb672106aac2105d4",
     "checkpoint-1": "b6515c2d98928c80ccccb0b93c6966243f6ad150",
@@ -155,7 +155,7 @@ GOLDEN = {
     "checkpoint-7": "9151f72c829f905743042d693de9317b5b710d8c",
     "checkpoint-8": "a19098753fd33713d681c6878b71913a83e02cfc",
     "checkpoint-9": "84ae8a0673bdd879b6cd1ef1c3d9a686a6d6b0da",
-    "checkpoint-10": "99b67083d99bf8e64f92da3624d02fcb7c096549",
+    "checkpoint-10": "4338ecdd46fe73cf79d2530c61ee35280b2b6bc7",
     "checkpoint-11": "a38bcdfd5c30bd24381935ae6a471ac0fa00be10",
     "checkpoint+fries-0": "0ec4eda1b5576e06cad1eacc09deb70f2c242c90",
     "checkpoint+fries-1": "060ab5b974517799343710fd0271b368f5f5d9d3",
@@ -167,7 +167,7 @@ GOLDEN = {
     "checkpoint+fries-7": "843c8790368677686da5577aa73c52bcd7eebbbf",
     "checkpoint+fries-8": "c55cf832108a4e4d5cbe712234634c76e44b9cdd",
     "checkpoint+fries-9": "cc3d9a284cef078e70f4a6d7de02be6998d36291",
-    "checkpoint+fries-10": "e5cf38895cbbc15cb4c5601ff3a1b248a4a1cf7a",
+    "checkpoint+fries-10": "aebddb603e7f95def950353947d2409206261040",
     "checkpoint+fries-11": "aa55f64d39535810e9d7cb4a23b4b9fa4167a1cc",
     "fig7-naive": "3b9750bdc03a3d52a3ffea7a4ac529f9d8dfb5e2",
     "fig7-fries_safe": "3b9750bdc03a3d52a3ffea7a4ac529f9d8dfb5e2",
