@@ -2,7 +2,7 @@
 
 Pure, deterministic graph/transaction algorithms — no engine, no Spark.
 """
-from .dag import DAG, Operator, SubDAG, split_at_blocking
+from .dag import DAG, Operator, SubDAG
 from .fries import ReconfigPlan, plan_epoch, plan_general, plan_naive, plan_one_to_one
 from .mcs import brute_force_mcs, components, find_mcs, head_operators
 from .parallel import ParallelDataflow, channel_counts, expand
@@ -28,7 +28,6 @@ __all__ = [
     "DAG",
     "Operator",
     "SubDAG",
-    "split_at_blocking",
     "ReconfigPlan",
     "plan_epoch",
     "plan_general",

@@ -4,7 +4,7 @@ A dataflow is a DAG of named operators. Each operator is classified as
 *one-to-one* (emits at most one (tuple, receiver) pair per input tuple —
 Def 5.1) or *one-to-many* (Def 5.2). Operators may additionally carry the
 *uniqueness* property (§6.3: emits at most one output tuple per data
-transaction, e.g. a self-join on a key) and a *blocking* flag (§7.1).
+transaction, e.g. a self-join on a key).
 
 The DAG is immutable after ``freeze()`` (called implicitly by most
 accessors); construction is incremental via ``add_operator``/``add_edge``.
@@ -23,15 +23,14 @@ class Operator:
     property of e.g. Replicate/broadcast: one-to-many overall but emitting
     at most one tuple per input tuple *on each output edge*;
     ``unique_per_txn`` is the §6.3 uniqueness property (at most one output
-    tuple per data transaction); ``blocking`` marks §7.1 blocking operators
-    (agg/sort); ``is_source`` marks operators with no upstream dependency.
+    tuple per data transaction); ``is_source`` marks operators with no
+    upstream dependency.
     """
 
     name: str
     one_to_many: bool = False
     edgewise_one_to_one: bool = False
     unique_per_txn: bool = False
-    blocking: bool = False
     is_source: bool = False
 
 
@@ -82,7 +81,6 @@ class DAG:
         one_to_many: Iterable[str] = (),
         edgewise_one_to_one: Iterable[str] = (),
         unique_per_txn: Iterable[str] = (),
-        blocking: Iterable[str] = (),
         sources: Iterable[str] | None = None,
         extra_vertices: Iterable[str] = (),
     ) -> "DAG":
@@ -92,7 +90,7 @@ class DAG:
         vertices with no incoming edge.
         """
         edges = list(edges)
-        otm, upt, blk = set(one_to_many), set(unique_per_txn), set(blocking)
+        otm, upt = set(one_to_many), set(unique_per_txn)
         e11 = set(edgewise_one_to_one)
         names: list[str] = []
         for a, b in edges:
@@ -112,7 +110,6 @@ class DAG:
                     one_to_many=n in otm or n in e11,
                     edgewise_one_to_one=n in e11,
                     unique_per_txn=n in upt,
-                    blocking=n in blk,
                     is_source=n in src,
                 )
             )
@@ -247,73 +244,3 @@ class SubDAG:
 
     def __contains__(self, v: str) -> bool:
         return v in self.vertices
-
-
-def split_at_blocking(dag: DAG) -> list[DAG]:
-    """§7.1: split a dataflow at blocking operators into pipelined sub-dataflows.
-
-    A blocking operator B ends one pipelined region (as its sink) and starts
-    the next (as its source): everything upstream of B must complete before
-    anything downstream of B runs, so Fries runs on each region separately.
-    The returned sub-dataflows contain no *internal* blocking edges: each
-    edge into a blocking operator terminates a region, each edge out of one
-    begins a region.
-    """
-    blocking = {v for v in dag.vertices if dag.op(v).blocking}
-    if not blocking:
-        return [dag]
-    # A region is a weakly-connected set of non-blocking edges, where edges
-    # incident to a blocking vertex belong to the region on their
-    # non-blocking side (in-edge: upstream region; out-edge: downstream).
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def find(e):
-        while parent.get(e, e) != e:
-            parent[e] = parent.get(parent[e], parent[e])
-            e = parent[e]
-        return e
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    edges = dag.edges
-    for e in edges:
-        parent.setdefault(e, e)
-    # Two edges sharing a NON-blocking endpoint are in the same region.
-    by_vertex: dict[str, list[tuple[str, str]]] = {}
-    for a, b in edges:
-        if a not in blocking:
-            by_vertex.setdefault(a, []).append((a, b))
-        if b not in blocking:
-            by_vertex.setdefault(b, []).append((a, b))
-    for _, es in by_vertex.items():
-        for e in es[1:]:
-            union(es[0], e)
-    groups: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for e in edges:
-        groups.setdefault(find(e), []).append(e)
-    regions: list[DAG] = []
-    for es in groups.values():
-        vs: set[str] = set()
-        for a, b in es:
-            vs.update((a, b))
-        sub = DAG()
-        for v in sorted(vs, key=dag.topological_order().index):
-            o = dag.op(v)
-            # Inside a region a blocking operator acts as plain source/sink.
-            sub.add_operator(
-                Operator(
-                    o.name,
-                    one_to_many=o.one_to_many,
-                    unique_per_txn=o.unique_per_txn,
-                    blocking=False,
-                    is_source=o.is_source or all((x, v) not in es for x in vs),
-                )
-            )
-        for a, b in es:
-            sub.add_edge(a, b)
-        regions.append(sub)
-    regions.sort(key=lambda d: min(dag.topological_order().index(v) for v in d.vertices))
-    return regions

@@ -1,7 +1,7 @@
 """Unit tests for repro.core.dag — the operator DAG model."""
 import pytest
 
-from repro.core.dag import DAG, Operator, SubDAG, split_at_blocking
+from repro.core.dag import DAG, Operator, SubDAG
 
 
 def fig5_dag() -> DAG:
@@ -141,52 +141,3 @@ class TestAlgorithms:
         assert s.vertices == frozenset({"C", "D", "E", "F"})
         assert ("C", "D") in s.edges and ("A", "C") not in s.edges
         assert "C" in s and "A" not in s
-
-
-class TestBlockingSplit:
-    def test_no_blocking_returns_same(self):
-        d = fig5_dag()
-        assert split_at_blocking(d) == [d]
-
-    def test_chain_split_at_blocking(self):
-        # src -> agg(blocking) -> post: two pipelined regions.
-        d = DAG.from_edges([("src", "agg"), ("agg", "post")], blocking=["agg"])
-        regions = split_at_blocking(d)
-        assert len(regions) == 2
-        assert {frozenset(r.vertices) for r in regions} == {
-            frozenset({"src", "agg"}),
-            frozenset({"agg", "post"}),
-        }
-
-    def test_region_blocking_op_acts_as_source(self):
-        d = DAG.from_edges([("src", "agg"), ("agg", "post")], blocking=["agg"])
-        regions = split_at_blocking(d)
-        down = next(r for r in regions if "post" in r.vertices)
-        assert down.op("agg").is_source
-        assert not down.op("agg").blocking
-
-    def test_diamond_with_blocking_middle(self):
-        # src -> {a, sort} ; a -> sink1 ; sort -> b -> sink1? Build:
-        # s -> f -> sort(blocking) -> g -> k, and s -> h -> k
-        d = DAG.from_edges(
-            [("s", "f"), ("f", "sort"), ("sort", "g"), ("g", "k"), ("s", "h"), ("h", "k")],
-            blocking=["sort"],
-        )
-        regions = split_at_blocking(d)
-        vsets = {frozenset(r.vertices) for r in regions}
-        # Upstream region includes s..sort plus the s->h->k branch (weakly
-        # connected through s and k? h-k connect to k which is downstream of
-        # g). The split keys on blocking vertices only: sort's in-edge ends
-        # one region, out-edge starts another; k joins g and h branches.
-        assert any("f" in v and "sort" in v for v in vsets)
-        assert any("g" in v and "k" in v for v in vsets)
-
-    def test_regions_preserve_operator_kinds(self):
-        d = DAG.from_edges(
-            [("s", "j"), ("j", "agg"), ("agg", "e")],
-            one_to_many=["j"],
-            blocking=["agg"],
-        )
-        regions = split_at_blocking(d)
-        up = next(r for r in regions if "j" in r.vertices)
-        assert up.op("j").one_to_many

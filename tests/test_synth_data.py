@@ -128,18 +128,3 @@ class TestTpcdsLite:
         )
         mean = tables["store_sales"].count() / tables["item"].count()
         assert counts > 3 * mean  # zipf-hot items exist
-
-
-class TestProvidedGenerators:
-    def test_lineitem_schema(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        assert "l_orderkey" in li.columns and li.count() > 0
-
-    def test_zipf_keys_skewed(self, spark):
-        z = synth_data.zipf_keys(spark, n=2000, n_keys=100).groupBy("k").count()
-        mx = z.agg(F.max("count")).first()[0]
-        assert mx > 100
-
-    def test_uniform_keys_cover(self, spark):
-        u = synth_data.uniform_keys(spark, n=2000, n_keys=10)
-        assert u.select("k").distinct().count() == 10

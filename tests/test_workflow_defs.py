@@ -112,21 +112,21 @@ class TestW5:
 # The first five are the builders' defaults; the rest are the specs that
 # perfbench and the Table 4-7 runners build.
 SPEC_FINGERPRINTS = {
-    "w1": (defs.w1, {}, "164537cbfb3a6eb28e63b5c0cf2a915a0849f1a8"),
-    "w2": (defs.w2, {}, "0d0ad8fdefacb9ee178a2ca9ae722f5326431bfc"),
-    "w3": (defs.w3, {}, "b79eaa6be0ba47ebf690ad65a0a16d631f37a8ae"),
-    "w4": (defs.w4, {}, "db53fed2dd054b45fe92880b47c26e068ba63aba"),
-    "w5": (defs.w5, {}, "4b132cc07fddb0ac428017bcc1d49d10050ec635"),
+    "w1": (defs.w1, {}, "5f0e0dbf8fa084eac98091c48d503bb5d5d44334"),
+    "w2": (defs.w2, {}, "7bd326633e319eb180b32e068a9af4efe3ddce6d"),
+    "w3": (defs.w3, {}, "8fccb553ed107279fca288a22eb1469071f91ea9"),
+    "w4": (defs.w4, {}, "7ec0d26fa1db4f0cd652218c207c899293c1c1e7"),
+    "w5": (defs.w5, {}, "db9068b4e11b93457068e7a563be1fbf1daa3878"),
     "w2-p4": (defs.w2, dict(parallelism=4, rate=8000.0),
-              "0d0ad8fdefacb9ee178a2ca9ae722f5326431bfc"),
+              "7bd326633e319eb180b32e068a9af4efe3ddce6d"),
     "w3-p4": (defs.w3, dict(parallelism=4, rate=6000.0),
-              "b79eaa6be0ba47ebf690ad65a0a16d631f37a8ae"),
+              "8fccb553ed107279fca288a22eb1469071f91ea9"),
     "w2-p40": (defs.w2, dict(parallelism=40, rate=8000.0),
-               "fa4650eeaa3e79da2f3a87b5a2801eab6d1212f5"),
+               "806ba224e555fc4f148e2024e3cd2053a8009aa5"),
     "w4-p4": (defs.w4, dict(parallelism=4, rate=40.0, fanout=12),
-              "db53fed2dd054b45fe92880b47c26e068ba63aba"),
+              "7ec0d26fa1db4f0cd652218c207c899293c1c1e7"),
     "w5-p4": (defs.w5, dict(parallelism=4, rate=300.0),
-              "4b132cc07fddb0ac428017bcc1d49d10050ec635"),
+              "db9068b4e11b93457068e7a563be1fbf1daa3878"),
 }
 
 
