@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core import check
 from repro.core.dag import DAG
+from repro.core.transactions import UPDATE_TXN
 from repro.engine import (
     EdgeSpec,
     EpochScheduler,
@@ -23,6 +24,7 @@ from repro.engine import (
     OpSpec,
     SavepointScheduler,
     Simulator,
+    Worker,
     WorkflowSpec,
     run_reconfig_experiment,
 )
@@ -272,6 +274,44 @@ class TestMultiVersionScheduler:
         _, r_mv = run(fig2_spec(), MultiVersionScheduler(), {"FM", "MC"})
         _, r_fr = run(fig2_spec(), FriesScheduler(), {"FM", "MC"})
         assert r_mv.delay > 10 * r_fr.delay
+
+    def test_blocked_source_tags_at_send(self, monkeypatch):
+        """A source blocked on a full channel when its version bump arrives
+        sends that tuple tagged v2: the tag is taken when the tuple enters
+        the stream, not when it is built. Every worker then processes every
+        txn at the version the source logged for it."""
+        dag = DAG.from_edges([("src", "A"), ("A", "B"), ("B", "sink")])
+        ops = {
+            "src": OpSpec("src", kind="source", rate=1000, n_tuples=100,
+                          key_dist=KeyDist.uniform(10)),
+            "A": OpSpec("A", kind="map", cost={1: 0.005}),
+            "B": OpSpec("B", kind="map", cost={1: 0.001}),
+            "sink": OpSpec("sink", kind="sink"),
+        }
+        edges = {("src", "A"): EdgeSpec("hash", capacity=2)}
+        at_bump = []
+        on_fcm = Worker.on_fcm
+
+        def recorded(w, fcm):
+            if fcm == "bump_version":
+                at_bump.append((w.state, w._txn))
+            on_fcm(w, fcm)
+
+        monkeypatch.setattr(Worker, "on_fcm", recorded)
+        sim, res = run(WorkflowSpec(dag=dag, ops=ops, edges=edges),
+                       MultiVersionScheduler(), {"A"}, t_req=0.1)
+        assert res.completed
+        [(state, blocked_txn)] = at_bump
+        assert state == "blocked"
+        versions: dict[int, dict[str, int]] = {}
+        for _, w, txn, v in sim.op_log:
+            if txn != UPDATE_TXN:
+                versions.setdefault(txn, {})[w] = v
+        assert versions[blocked_txn]["src#0"] == 2
+        for txn, by_worker in versions.items():
+            assert set(by_worker) == {"src#0", "A#0", "B#0", "sink#0"}
+            assert set(by_worker.values()) == {by_worker["src#0"]}, txn
+        assert {v["src#0"] for v in versions.values()} == {1, 2}
 
     def test_requires_recording(self):
         """Completion is read from the operation log, which ``record="none"``
