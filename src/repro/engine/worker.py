@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import deque
 from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -296,7 +296,10 @@ class Worker:
             if ch.data_load() >= ch.capacity:
                 return
         elif pending:
-            for ch, n in Counter(ch for ch, _ in pending).items():
+            need: dict[Channel, int] = {}
+            for ch, _ in pending:
+                need[ch] = need.get(ch, 0) + 1
+            for ch, n in need.items():
                 if ch.data_load() + n > ch.capacity:
                     return
         for ch, m in pending:
