@@ -1,0 +1,140 @@
+"""Run the benchmark in alternating parent/change pairs and log every run.
+
+    python3 scripts/perf_pairs.py --workload joins-p4 --pairs 10 --parent HEAD~1
+
+Run from the repository root. Each pair runs the unmodified
+``perfbench/run.py`` once in a checkout of the committed files of
+``--parent`` (extracted with ``git archive`` into a temporary directory)
+and once in the working tree, one after the other, never at the same time;
+which side goes first alternates from pair to pair. The script prints each
+side's median and quartiles of every end-to-end metric that
+``BENCHMARK.json`` declares, and how many pairs the change won on it.
+
+Every run appends one record to ``BENCH_perfbench.json``: the commit, the
+side, the workload, the seed, the end-to-end metrics, ``attempted``,
+``failed`` and the median host probe of the run's ``op`` lines. Records
+already in the file are kept as they are.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pathlib
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+LOG = ROOT / "BENCH_perfbench.json"
+PROBE = re.compile(r"^op .* probe\s+([0-9.]+) ms")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def extract(rev: str, into: pathlib.Path) -> None:
+    """The committed files of ``rev`` under ``into``."""
+    with tempfile.TemporaryFile() as tar:
+        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=tar)
+        tar.seek(0)
+        with tarfile.open(fileobj=tar) as archive:
+            archive.extractall(into, filter="data")
+
+
+def run_once(tree: pathlib.Path, workload: str, seed: int) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its result line plus the
+    median probe of its ``op`` lines."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench failed in {tree} (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    probes = [float(m.group(1)) for m in map(PROBE.match, lines) if m]
+    result["probe_ms"] = statistics.median(probes) if probes else None
+    return result
+
+
+def append_record(record: dict) -> None:
+    """Add ``record`` to the log, one record a line, after the records
+    already there."""
+    line = json.dumps(record, sort_keys=True)
+    if not LOG.exists():
+        LOG.write_text(f"[\n{line}\n]\n")
+        return
+    text = LOG.read_text().rstrip()
+    if not text.endswith("]"):
+        raise ValueError(f"{LOG} does not end in ']'")
+    body = text[:-1].rstrip()
+    sep = "" if body == "[" else ","
+    LOG.write_text(f"{body}{sep}\n{line}\n]\n")
+    json.loads(LOG.read_text())  # still one JSON list
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--parent", required=True, help="git revision of the parent side")
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
+    # Uncommitted edits to what a benchmark run reads.
+    dirty = bool(git("status", "--porcelain", "--", "src", "perfbench", "benchmarks/out"))
+    values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    wins = {m["name"]: 0 for m in metrics}
+    with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
+        trees = {"parent": pathlib.Path(tmp), "change": ROOT}
+        extract(commits["parent"], trees["parent"])
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            got = {}
+            for side in order:
+                result = run_once(trees[side], args.workload, args.seed)
+                got[side] = {k: v["value"] for k, v in result["metrics"].items()}
+                append_record({
+                    "commit": commits[side], "dirty": dirty and side == "change", "side": side,
+                    "workload": args.workload, "seed": args.seed, "pair": i, "first": order[0],
+                    "metrics": got[side], "attempted": result["attempted"], "failed": result["failed"],
+                    "probe_ms": result["probe_ms"],
+                })
+                print(f"pair {i} {side:6s} attempted={result['attempted']} failed={result['failed']} "
+                      + " ".join(f"{k}={v:.6g}" for k, v in got[side].items()), flush=True)
+            for m in metrics:
+                name = m["name"]
+                for side in order:
+                    values[side].setdefault(name, []).append(got[side][name])
+                p, c = got["parent"][name], got["change"][name]
+                wins[name] += c < p if m["better"] == "lower" else c > p
+    print(f"{args.workload}: {args.pairs} pairs, seed {args.seed}, parent {commits['parent'][:10]}, "
+          f"change {commits['change'][:10]}{' (dirty)' if dirty else ''}")
+    for m in metrics:
+        name = m["name"]
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = (quartiles(values[s][name]) for s in ("parent", "change"))
+        gain = (cmed / pmed - 1.0) * 100.0 if pmed else float("nan")
+        print(f"  {name:18s} parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}]  change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]"
+              f"  {gain:+.1f} %  change better in {wins[name]}/{args.pairs} ({m['better']} is better)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

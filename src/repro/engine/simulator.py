@@ -208,10 +208,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # logging
     # ------------------------------------------------------------------
-    def log_data(self, worker: int, txn: int, version: int) -> None:
-        if self.record == "all":
-            self.op_log.append(self.now, worker, txn, version)
-
     def log_update(self, worker: int, version: int) -> None:
         self.apply_times[self.op_log.names[worker]] = self.now
         if self.record == "all":

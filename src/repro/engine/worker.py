@@ -62,7 +62,8 @@ class Worker:
     __slots__ = ("sim", "op", "index", "name", "id", "rng", "inputs", "ready", "out",
                  "version", "_cost", "applied", "multiversion", "control", "state",
                  "_pending", "_dispatch_scheduled", "_wakes", "_finish_at", "_aligning",
-                 "_sj_state", "processed", "_emitted", "_txn")
+                 "_sj_state", "processed", "_emitted", "_txn", "_record", "_dispatch_cb",
+                 "_finish_cb", "_source_emit_cb")
 
     def __init__(self, sim: "Simulator", op: OpSpec, index: int, wid: int) -> None:
         self.sim = sim
@@ -93,15 +94,20 @@ class Worker:
         self._dispatch_scheduled = False
         self._wakes: list[tuple] = []  # heap of the queue entries with a pending wake
         self._finish_at = 0.0  # when the tuple being processed finishes
-        # Marker alignment: marker -> the input channels it has arrived on,
-        # blocked meanwhile.
-        self._aligning: dict[EpochMarker, list[Channel]] = {}
+        # Marker alignment: marker -> (number of in-scope inputs, the input
+        # channels it has arrived on, blocked meanwhile).
+        self._aligning: dict[EpochMarker, tuple[int, list[Channel]]] = {}
         # Self-join per-transaction arrival counts.
         self._sj_state: dict[int, int] = {}
         self.processed = 0
         # Source state: tuples sent, and the txn of the tuple being emitted.
         self._emitted = 0
         self._txn = 0
+        self._record = sim.record == "all"  # log every operation in op_log
+        # Bound once: each attribute access would build a new bound method.
+        self._dispatch_cb = self._dispatch
+        self._finish_cb = self._finish
+        self._source_emit_cb = self._source_emit
 
     # ------------------------------------------------------------------
     # control plane
@@ -156,7 +162,7 @@ class Worker:
     def notify(self) -> None:
         if self.state == "idle" and not self._dispatch_scheduled:
             self._dispatch_scheduled = True
-            self.sim.schedule(self.sim.now, self._dispatch)
+            self.sim.schedule(self.sim.now, self._dispatch_cb)
 
     def _expect(self, entry: tuple) -> None:
         """A data message was sent to this idle worker and arrives at the
@@ -196,10 +202,25 @@ class Worker:
                 heapreplace(self.ready, (t, seq, ch.index))
             else:
                 heappop(self.ready)
-            if type(msg) is DataMsg:
-                self._start_processing(msg)
-            else:
+            if type(msg) is not DataMsg:
                 self._on_marker(ch, msg)
+                continue
+            # Process the tuple, at its tag under multi-versioning.
+            version = (
+                msg.version_tag
+                if (self.multiversion and msg.version_tag is not None)
+                else self.version
+            )
+            sim = self.sim
+            if self._record:
+                sim.op_log.append(sim.now, self.id, msg.txn, version)
+            self.state = "busy"
+            cost = self._cost.get(version)
+            if cost is None:
+                cost = self._cost[version] = self.op.cost_at(version, self.index)
+            self._finish_at = t = sim.now + cost
+            sim.schedule(t, self._finish_cb, msg)
+            return
 
     def _next_channel(self) -> Channel | None:
         """The non-blocked input whose head arrived first, or None if no
@@ -223,7 +244,7 @@ class Worker:
         for them as well. A marker arrival notifies by its own event."""
         now, ready = self.sim.now, self.ready
         first = self.inputs[ready[0][2]].queue[0] if ready else None
-        for blocked in self._aligning.values():
+        for _, blocked in self._aligning.values():
             for c in blocked:
                 queue = c.queue
                 j = bisect_right(queue, now, key=_arrival)
@@ -234,58 +255,67 @@ class Worker:
         if first is not None and type(first[2]) is DataMsg and (not wakes or first < wakes[0]):
             self._wake_at(first)
 
-    def _start_processing(self, msg: DataMsg) -> None:
-        version = (
-            msg.version_tag
-            if (self.multiversion and msg.version_tag is not None)
-            else self.version
-        )
-        self.sim.log_data(self.id, msg.txn, version)
-        self.state = "busy"
-        cost = self._cost.get(version)
-        if cost is None:
-            cost = self._cost[version] = self.op.cost_at(version, self.index)
-        self._finish_at = t = self.sim.now + cost
-        self.sim.schedule(t, self._finish, msg, version)
-
-    def _finish(self, msg: DataMsg, version: int) -> None:
+    def _finish(self, msg: DataMsg) -> None:
+        """The tuple ``msg`` is processed: send its outputs. A kind that
+        keeps the key sends ``msg`` itself, which no one writes once sent.
+        A single output whose channel has room is sent right here; several
+        outputs go through ``_pending`` and ``_try_emit``, and an output
+        that does not fit waits in ``_pending`` for ``on_channel_freed``."""
         self.processed += 1
-        self._pending = self._emissions(msg)
-        self.state = "blocked"
-        self._try_emit()
-
-    def _emissions(self, msg: DataMsg) -> list[tuple[Channel, DataMsg]]:
-        op, out = self.op, self.out
+        op, out, pending = self.op, self.out, self._pending
         kind = op.kind
-        emits: list[tuple[Channel, DataMsg]] = []
+        edge = None  # the out-edge of the one output, if there is one
         if kind == "map" or kind == "union":
             if out:
-                _route(emits, out[0], msg, msg.key)
+                edge = out[0]
         elif kind == "filter":
             if self.rng.random() < op.selectivity and out:
-                _route(emits, out[0], msg, msg.key)
+                edge = out[0]
         elif kind == "split":
             if out:
-                _route(emits, out[msg.key % len(out)], msg, msg.key)
+                edge = out[msg.key % len(out)]
         elif kind == "join":
             if out and self.rng.random() < op.selectivity:
-                for _ in range(op.fanout):
-                    key = op.out_key.sample(self.rng) if op.out_key else msg.key
-                    _route(emits, out[0], msg, key)
+                out_key = op.out_key
+                if op.fanout == 1:
+                    edge = out[0]
+                    if out_key:
+                        msg = DataMsg(msg.txn, out_key.sample(self.rng), msg.created, msg.version_tag)
+                else:
+                    for _ in range(op.fanout):
+                        child = (DataMsg(msg.txn, out_key.sample(self.rng), msg.created,
+                                         msg.version_tag) if out_key else msg)
+                        _route(pending, out[0], child)
         elif kind == "replicate":
-            for edge in out:
-                _route(emits, edge, msg, msg.key)
+            for e in out:
+                _route(pending, e, msg)
         elif kind == "selfjoin":
             n = self._sj_state.get(msg.txn, 0) + 1
             if n >= op.arity:
                 self._sj_state.pop(msg.txn, None)
                 if out:
-                    _route(emits, out[0], msg, msg.key)
+                    edge = out[0]
             else:
                 self._sj_state[msg.txn] = n
         elif kind == "sink":
             self.sim.log_sink(msg)
-        return emits
+        if edge is not None:
+            channels = edge[2]
+            if edge[1] == "broadcast" and len(channels) > 1:
+                _route(pending, edge, msg)
+            else:
+                ch = channels[msg.key % len(channels)]
+                if ch.data_load() >= ch.capacity:
+                    pending.append((ch, msg))
+                    self.state = "blocked"  # until on_channel_freed
+                    return
+                ch.send(msg)
+        if pending:
+            self.state = "blocked"
+            self._try_emit()
+        else:
+            self.state = "idle"
+            self.notify()
 
     def _try_emit(self) -> None:
         """Send the pending outputs if they all fit, each channel counting
@@ -302,12 +332,16 @@ class Worker:
             for ch, n in need.items():
                 if ch.data_load() + n > ch.capacity:
                     return
+        source = self.op.kind == "source"
+        if source and self.multiversion:
+            for _, m in pending:
+                m.version_tag = self.version
         for ch, m in pending:
             ch.send(m)
-        self._pending = []
+        pending.clear()
         self.state = "idle"
-        if self.op.kind == "source":
-            self._sent(pending)
+        if source:
+            self._sent()
         else:
             self.notify()
 
@@ -322,12 +356,17 @@ class Worker:
         """Block ``ch`` until the marker has arrived on every in-scope
         input; then unblock them all and open the epoch."""
         ch.blocked = True
-        arrived = self._aligning.setdefault(marker, [])
+        aligning = self._aligning.get(marker)
+        if aligning is None:
+            name = self.op.name
+            expected = sum((c.src.op.name, name) in marker.edges for c in self.inputs)
+            aligning = self._aligning[marker] = (expected, [])
+        expected, arrived = aligning
         arrived.append(ch)
-        expected = sum((c.src.op.name, self.op.name) in marker.edges for c in self.inputs)
         if len(arrived) < expected:
             return
-        for c in self._aligning.pop(marker):
+        del self._aligning[marker]
+        for c in arrived:
             c.blocked = False
             if c.queue:
                 t, seq, _ = c.queue[0]
@@ -340,50 +379,57 @@ class Worker:
     # ------------------------------------------------------------------
     def start_source(self) -> None:
         if self.op.kind == "source":
-            self.sim.schedule(self.sim.now, self._source_emit)
+            self.sim.schedule(self.sim.now, self._source_emit_cb)
 
     def _source_emit(self) -> None:
-        if self.op.n_tuples is not None and self._emitted >= self.op.n_tuples:
+        """Build the next tuple and send it on every out-edge: a single
+        output right here if its channel has room; otherwise through
+        ``_pending`` and ``_try_emit``. The tuple is tagged just before it
+        is sent, with the version of now, not of its creation, since a
+        version bump may arrive while the source is blocked."""
+        op, sim = self.op, self.sim
+        if op.n_tuples is not None and self._emitted >= op.n_tuples:
             return
-        self._txn = self.sim.next_txn()
-        key = (
-            self.op.key_dist.sample(self.rng)
-            if self.op.key_dist
-            else self.rng.randrange(1 << 30)
-        )
-        msg = DataMsg(self._txn, key, self.sim.now)
-        for edge in self.out:
-            _route(self._pending, edge, msg, key)
+        self._txn = txn = sim.next_txn()
+        key = op.key_dist.sample(self.rng) if op.key_dist else self.rng.randrange(1 << 30)
+        msg = DataMsg(txn, key, sim.now)
+        out = self.out
+        if len(out) == 1 and (out[0][1] != "broadcast" or len(out[0][2]) == 1):
+            channels = out[0][2]
+            ch = channels[key % len(channels)]
+            if ch.data_load() >= ch.capacity:
+                self._pending.append((ch, msg))
+                self.state = "blocked"  # until on_channel_freed
+                return
+            if self.multiversion:
+                msg.version_tag = self.version
+            ch.send(msg)
+            self._sent()
+            return
+        for edge in out:
+            _route(self._pending, edge, msg)
         self.state = "blocked"
         self._try_emit()
 
-    def _sent(self, copies: list[tuple[Channel, DataMsg]]) -> None:
-        """The source's tuple entered the stream: tag it with the version
-        of now, not of its creation, since a version bump may arrive while
-        the source is blocked; log it and schedule the next one."""
-        if self.multiversion:
-            for _, m in copies:
-                m.version_tag = self.version
-        self.sim.log_data(self.id, self._txn, self.version)
+    def _sent(self) -> None:
+        """The source's tuple entered the stream: log it and schedule the
+        next one."""
+        op, sim = self.op, self.sim
+        if self._record:
+            sim.op_log.append(sim.now, self.id, self._txn, self.version)
         self._emitted += 1
         self.processed += 1
-        self._schedule_next_emit()
-
-    def _schedule_next_emit(self) -> None:
-        if self.op.n_tuples is not None and self._emitted >= self.op.n_tuples:
-            return
-        rate = self.op.rate_at(self.sim.now)
-        self.sim.schedule(self.sim.now + 1.0 / rate, self._source_emit)
+        if op.n_tuples is None or self._emitted < op.n_tuples:
+            sim.schedule(sim.now + 1.0 / op.rate_at(sim.now), self._source_emit_cb)
 
 
-def _route(emits: list, edge: tuple[str, str, list[Channel]], msg: DataMsg, key: int) -> None:
-    """Add the child of ``msg`` with ``key`` on out-edge ``edge`` to
-    ``emits``, on the channel(s) its partitioning picks."""
+def _route(emits: list, edge: tuple[str, str, list[Channel]], msg: DataMsg) -> None:
+    """Add ``msg`` on out-edge ``edge`` to ``emits``, on the channel(s) its
+    partitioning picks."""
     _, strategy, channels = edge
-    child = DataMsg(msg.txn, key, msg.created, msg.version_tag)
     if strategy == "broadcast":
-        emits.extend((ch, child) for ch in channels)
+        emits.extend((ch, msg) for ch in channels)
     elif strategy == "forward":
-        emits.append((channels[0], child))
+        emits.append((channels[0], msg))
     else:  # hash
-        emits.append((channels[key % len(channels)], child))
+        emits.append((channels[msg.key % len(channels)], msg))

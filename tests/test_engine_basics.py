@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import sys
+from collections import deque
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.engine import (
     EpochScheduler,
     FriesScheduler,
     KeyDist,
+    MultiVersionScheduler,
     NaiveFCMScheduler,
     OpSpec,
     Simulator,
@@ -28,8 +30,10 @@ from repro.engine import (
 )
 from repro.engine import simulator as simulator_module
 from repro.engine.workload import EdgeSpec
+from repro.workflows import defs
 
-from .test_engine_schedulers import _random_chain_spec
+from .test_engine_golden import chain_run
+from .test_engine_schedulers import _random_chain_spec, fig8_spec
 from .test_experiments import HALT_CASES
 
 
@@ -610,6 +614,92 @@ class TestArrivalsWithoutEvents:
         spec.edges[("A", "B")] = EdgeSpec("hash", latency=latency)
         with pytest.raises(ValueError, match="latency"):
             Simulator(spec)
+
+
+def _fields(msg: DataMsg) -> tuple:
+    return (msg.txn, msg.key, msg.created, msg.version_tag)
+
+
+class SnapshotChannel(Channel):
+    """A channel that keeps each data message it sends with a snapshot of
+    its fields, and checks the fields against it when the message is
+    popped."""
+
+    __slots__ = ("sent", "popped", "tagged")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = deque()  # (message, its fields at send), unpopped
+        self.popped = self.tagged = 0
+
+    def send(self, msg):
+        self.sent.append((msg, _fields(msg)))
+        super().send(msg)
+
+    def pop(self):
+        msg = super().pop()
+        if type(msg) is DataMsg:
+            sent, fields = self.sent.popleft()
+            assert sent is msg and _fields(msg) == fields, (self.src.name, self.dst.name, fields, msg)
+            self.popped += 1
+            self.tagged += msg.version_tag is not None
+        return msg
+
+
+class TestSentMessagesUnwritten:
+    """A worker whose output keeps the key sends the message it holds, not
+    a copy, so one message may be queued on several channels. That is safe
+    only while no message is written after ``Channel.send``, including a
+    source's multi-version tag."""
+
+    def _counts(self, sim: Simulator) -> tuple[int, int]:
+        """Check the messages still queued too; return the data messages
+        popped and how many of them carried a version tag."""
+        for ch in sim.channels:
+            for msg, fields in ch.sent:
+                assert _fields(msg) == fields, (ch.src.name, ch.dst.name, fields, msg)
+        return sum(ch.popped for ch in sim.channels), sum(ch.tagged for ch in sim.channels)
+
+    @pytest.mark.parametrize("action", ["fries", "ebr", "multiversion"])
+    def test_random_specs(self, action, monkeypatch):
+        monkeypatch.setattr(simulator_module, "Channel", SnapshotChannel)
+        popped = tagged = 0
+        for seed in range(12):
+            p, t = self._counts(chain_run(action, seed))
+            popped, tagged = popped + p, tagged + t
+        assert popped > 10_000
+        assert (tagged > 0) == (action == "multiversion")
+
+    @pytest.mark.parametrize("make", [FriesScheduler, EpochScheduler, MultiVersionScheduler],
+                             ids=["fries", "ebr", "multiversion"])
+    def test_stress_specs(self, make, monkeypatch):
+        monkeypatch.setattr(simulator_module, "Channel", SnapshotChannel)
+        popped = tagged = 0
+        for seed in range(40):
+            p, t = self._counts(_stress_run(Simulator, seed, make))
+            popped, tagged = popped + p, tagged + t
+        assert popped > 10_000
+        assert (tagged > 0) == (make is MultiVersionScheduler)
+
+    @pytest.mark.parametrize("make", [FriesScheduler, MultiVersionScheduler], ids=["fries", "multiversion"])
+    def test_workflows(self, make, monkeypatch):
+        """Figure 8's split and union, W4's filter and fanout-12 join, and
+        W5's replicate and self-join at p=2."""
+        monkeypatch.setattr(simulator_module, "Channel", SnapshotChannel)
+        cases = [
+            (fig8_spec, {"FMX"}, 0.3, 5.0),
+            (lambda: defs.w4(parallelism=2), {"FD1"}, 5.0, 15.0),
+            (lambda: defs.w5(parallelism=2), {"FD4"}, 2.0, 6.0),
+        ]
+        for build, ops, t, t_end in cases:
+            sim = Simulator(build())
+            sim.start()
+            sim.run(until=t)
+            make().request(sim, ops, t)
+            sim.run(until=t_end)
+            popped, tagged = self._counts(sim)
+            assert popped > 1_000
+            assert (tagged > 0) == (make is MultiVersionScheduler)
 
 
 def _perfbench_flows(monkeypatch) -> dict:
