@@ -71,8 +71,9 @@ class Channel:
         return len(self.queue) - self.markers_in_flight
 
     def send(self, msg: DataMsg) -> None:
-        """Enqueue data message ``msg``. Caller must have checked that
-        ``data_load() < capacity``."""
+        """Enqueue data message ``msg``. The caller must have checked that
+        it fits: ``data_load()`` plus the messages it sends here at once is
+        at most ``capacity``. ``msg`` is not written after this call."""
         sim, queue, dst = self.sim, self.queue, self.dst
         sim._evseq = seq = sim._evseq + 1
         t = sim.now + self.latency

@@ -16,7 +16,11 @@ from dataclasses import dataclass
 class DataMsg:
     """A data tuple: transaction id (= source tuple id), routing key, and a
     creation timestamp for end-to-end latency accounting. ``version_tag``
-    is used only by the FCM multi-version scheduler (§4.1)."""
+    is used only by the FCM multi-version scheduler (§4.1).
+
+    A message is not written once it is sent: a worker whose output keeps
+    the key sends the message it holds, so one message may be queued on
+    several channels at once."""
 
     txn: int
     key: int
