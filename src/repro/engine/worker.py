@@ -3,12 +3,15 @@
 Each worker processes one data tuple at a time (cost = seconds per tuple of
 its current configuration version), emits derived tuples downstream subject
 to channel backpressure, and participates in the control protocols. A
-source is a worker whose tuples come from a clock instead of an input: it
-routes each new tuple into the same pending outputs as any operator and
-sends them the same way, so a source whose outputs do not fit is
-``blocked`` like any other worker (§3.2's backpressure reaching the plan
-heads). Its tuple counts as processed, is logged and gets its
-multi-version tag only once it is sent.
+single output whose channel has room is sent at once; several outputs, or
+one that does not fit, go through the pending list and are sent together
+once all of them fit. A source is a worker whose tuples come from a clock
+instead of an input: it sends each new tuple the same way as any operator
+sends its outputs, so a source whose outputs do not fit is ``blocked`` like
+any other worker (§3.2's backpressure reaching the plan heads). Its tuple
+counts as processed, is logged and gets its multi-version tag only once it
+is sent. A sent message is never written, so a worker whose output keeps
+the key forwards the message it holds.
 
 * **FCMs** are handled between tuples — immediately if the worker is idle,
   otherwise right after the current tuple finishes and its outputs flush
