@@ -8,7 +8,10 @@ Run from the repository root. Each pair runs the unmodified
 and once in the working tree, one after the other, never at the same time;
 which side goes first alternates from pair to pair. The script prints each
 side's median and quartiles of every end-to-end metric that
-``BENCHMARK.json`` declares, and how many pairs the change won on it.
+``BENCHMARK.json`` declares, how many pairs the change won on it, and the
+verdict on a claimed gain: met only if the change won at least 9 of every
+10 pairs (ties count for neither side) and its median beats the parent's by
+more than the parent's interquartile range.
 
 Every run appends one record to ``BENCH_perfbench.json``: the commit, the
 side, the workload, the seed, the end-to-end metrics, ``attempted``,
@@ -86,6 +89,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(wins: int, pairs: int, parent_median: float, change_median: float, parent_iqr: float,
+            better: str) -> str:
+    """Whether a gain may be claimed: the change won at least 9 of every 10
+    pairs, and its median beats the parent's by more than the parent's
+    interquartile range."""
+    gain = change_median - parent_median if better == "higher" else parent_median - change_median
+    won = 10 * wins >= 9 * pairs
+    clear = gain > parent_iqr
+    met = "claim met" if won and clear else "claim not met"
+    return (f"{met}: won {wins}/{pairs} pairs ({'≥' if won else '<'} 9/10), median gain {gain:.6g} "
+            f"{'>' if clear else '≤'} parent IQR {parent_iqr:.6g}")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -133,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         gain = (cmed / pmed - 1.0) * 100.0 if pmed else float("nan")
         print(f"  {name:18s} parent {pmed:.6g} [{pq1:.6g}, {pq3:.6g}]  change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]"
               f"  {gain:+.1f} %  change better in {wins[name]}/{args.pairs} ({m['better']} is better)")
+        print(f"  {'':18s} {verdict(wins[name], args.pairs, pmed, cmed, pq3 - pq1, m['better'])}")
     return 0
 
 

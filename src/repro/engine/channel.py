@@ -80,8 +80,12 @@ class Channel:
         if not queue and not self.blocked:
             heappush(dst.ready, (t, seq, self.index))
         queue.append(entry := (t, seq, msg))
-        if dst.state == "idle":
-            dst._expect(entry)
+        # An idle worker with no dispatch scheduled wakes at this arrival,
+        # unless an earlier wake is pending.
+        if dst.state == "idle" and not dst._dispatch_scheduled:
+            wakes = dst._wakes
+            if not wakes or entry < wakes[0]:
+                dst._wake_at(entry)
 
     def send_marker(self, marker: EpochMarker) -> None:
         """Enqueue ``marker`` with an arrival event at its key."""
@@ -96,7 +100,7 @@ class Channel:
 
     def _marker_arrived(self) -> None:
         self.markers_in_flight -= 1
-        self.dst.notify()
+        self.dst._resume()
 
     # -- consumer side -----------------------------------------------------
     def pop(self):

@@ -6,13 +6,15 @@ Each logical edge is wired into the worker channels that
 ``expand`` builds G* from. Events run in ``(t, seq)`` order. ``seq`` comes
 from one counter, ``_evseq``, which also gives every sent message its
 arrival key, so a data message needs no event of its own (see
-:mod:`.channel`); ``events`` counts the events executed. Under
-``record="all"`` the run logs every operation in ``op_log``, an
-:class:`OpLog` of typed columns that iterates as ``(t, worker, txn,
-version)`` rows, an update μ(o) under ``UPDATE_TXN``, and every sink
-arrival in ``sink_log``; ``schedule_log`` is a §4.2 schedule view over
-``op_log``'s columns, which copies nothing. Apply times (reconfiguration
-delay) and checkpoint snapshots are always kept.
+:mod:`.channel`); ``events`` counts the events the loop ran. A worker's
+dispatch that is certain to run next runs in place at the end of the event
+that would schedule it (see :mod:`.worker`): it takes a key but is not a
+loop event. Under ``record="all"`` the run logs every operation in
+``op_log``, an :class:`OpLog` of typed columns that iterates as ``(t,
+worker, txn, version)`` rows, an update μ(o) under ``UPDATE_TXN``, and
+every sink arrival in ``sink_log``; ``schedule_log`` is a §4.2 schedule
+view over ``op_log``'s columns, which copies nothing. Apply times
+(reconfiguration delay) and checkpoint snapshots are always kept.
 """
 from __future__ import annotations
 
@@ -132,7 +134,8 @@ class Simulator:
 
     @property
     def events(self) -> int:
-        """Events executed so far, over every call of :meth:`run`."""
+        """Events the loop ran so far, over every call of :meth:`run`. An
+        in-place dispatch takes an ordering key but is not one."""
         return self._events
 
     def next_txn(self) -> int:

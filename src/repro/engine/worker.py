@@ -35,6 +35,12 @@ with no dispatch scheduled, a wake is pending at its earliest future data
 arrival on any input. A wake runs at that message's arrival key, where a
 delivery event for it would run, and like one it notifies the worker; an
 arrival at a busy worker costs no event.
+
+A notify that ends an event (a finish, a flush of pending outputs, a wake,
+an FCM, a marker arrival) is ``_resume``: when the same-time lane is empty
+and no heap event is due at ``now``, the dispatch it would schedule is
+certain to run next, so it runs in place, with the ordering key it would
+have had. Every operation keeps its order; only the loop runs fewer events.
 """
 from __future__ import annotations
 
@@ -66,7 +72,7 @@ class Worker:
                  "version", "_cost", "applied", "multiversion", "control", "state",
                  "_pending", "_dispatch_scheduled", "_wakes", "_finish_at", "_aligning",
                  "_sj_state", "processed", "_emitted", "_txn", "_record", "_dispatch_cb",
-                 "_finish_cb", "_source_emit_cb")
+                 "_finish_cb", "_source_emit_cb", "_on_wake_cb")
 
     def __init__(self, sim: "Simulator", op: OpSpec, index: int, wid: int) -> None:
         self.sim = sim
@@ -111,6 +117,7 @@ class Worker:
         self._dispatch_cb = self._dispatch
         self._finish_cb = self._finish
         self._source_emit_cb = self._source_emit
+        self._on_wake_cb = self._on_wake
 
     # ------------------------------------------------------------------
     # control plane
@@ -120,7 +127,7 @@ class Worker:
         if self.op.kind == "source":
             self._handle_control()
         else:
-            self.notify()
+            self._resume()
 
     def _handle_control(self) -> None:
         """Drain the control queue. Only called between tuples (idle, or a
@@ -167,24 +174,33 @@ class Worker:
             self._dispatch_scheduled = True
             self.sim.schedule(self.sim.now, self._dispatch_cb)
 
-    def _expect(self, entry: tuple) -> None:
-        """A data message was sent to this idle worker and arrives at the
-        key of queue entry ``entry``: wake then, unless a dispatch or an
-        earlier wake is pending."""
-        if not self._dispatch_scheduled:
-            wakes = self._wakes
-            if not wakes or entry < wakes[0]:
-                self._wake_at(entry)
+    def _resume(self) -> None:
+        """``notify`` as the last act of an event. When the same-time lane
+        is empty and no heap event is due at ``now``, the dispatch it would
+        schedule is certain to run next: it runs in place instead, after
+        taking the ordering key it would have had, and is not a loop event.
+        A dispatch with no control, ready entry or alignment to look at
+        would do nothing, so then only the key is taken."""
+        if self.state == "idle" and not self._dispatch_scheduled:
+            sim = self.sim
+            heap = sim._heap
+            if sim._lane or (heap and heap[0][0] <= sim.now):
+                self._dispatch_scheduled = True
+                sim.schedule(sim.now, self._dispatch_cb)
+                return
+            sim._evseq += 1
+            if self.control or self.ready or self._aligning:
+                self._dispatch()
 
     def _wake_at(self, entry: tuple) -> None:
         """Schedule a wake at the arrival key of ``entry``: it does there
         what a delivery event of that message would do, notify."""
         heappush(self._wakes, entry)
-        self.sim.schedule_keyed(entry[0], entry[1], self._on_wake)
+        self.sim.schedule_keyed(entry[0], entry[1], self._on_wake_cb)
 
     def _on_wake(self) -> None:
         heappop(self._wakes)  # wakes run in key order: this is the earliest
-        self.notify()
+        self._resume()
 
     def _dispatch(self) -> None:
         self._dispatch_scheduled = False
@@ -216,7 +232,11 @@ class Worker:
             )
             sim = self.sim
             if self._record:
-                sim.op_log.append(sim.now, self.id, msg.txn, version)
+                log = sim.op_log
+                log.t.append(sim.now)
+                log.worker.append(self.id)
+                log.txn.append(msg.txn)
+                log.version.append(version)
             self.state = "busy"
             cost = self._cost.get(version)
             if cost is None:
@@ -318,7 +338,7 @@ class Worker:
             self._try_emit()
         else:
             self.state = "idle"
-            self.notify()
+            self._resume()
 
     def _try_emit(self) -> None:
         """Send the pending outputs if they all fit, each channel counting
@@ -346,7 +366,7 @@ class Worker:
         if source:
             self._sent()
         else:
-            self.notify()
+            self._resume()
 
     def on_channel_freed(self) -> None:
         if self.state == "blocked":
@@ -419,7 +439,11 @@ class Worker:
         next one."""
         op, sim = self.op, self.sim
         if self._record:
-            sim.op_log.append(sim.now, self.id, self._txn, self.version)
+            log = sim.op_log
+            log.t.append(sim.now)
+            log.worker.append(self.id)
+            log.txn.append(self._txn)
+            log.version.append(self.version)
         self._emitted += 1
         self.processed += 1
         if op.n_tuples is None or self._emitted < op.n_tuples:

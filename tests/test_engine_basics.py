@@ -616,6 +616,85 @@ class TestArrivalsWithoutEvents:
             Simulator(spec)
 
 
+class SchedulingWorker(Worker):
+    """Reference worker: a ``notify`` that ends an event always schedules
+    the dispatch, even when it would run next."""
+
+    __slots__ = ()
+
+    def _resume(self):
+        self.notify()
+
+
+class SchedulingSimulator(Simulator):
+    """The simulator over :class:`SchedulingWorker`: every dispatch is a
+    loop event."""
+
+    def __init__(self, spec, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator_module, "Worker", SchedulingWorker)
+            super().__init__(spec, **kwargs)
+
+
+class TestInPlaceDispatch:
+    """A dispatch that is certain to run next (empty same-time lane, no
+    heap event due at ``now``) runs in place at the end of the event that
+    would schedule it, and still takes its ordering key. Every run matches
+    the reference that schedules it, ``_evseq`` included."""
+
+    @pytest.mark.parametrize("marker", ["fries", "ebr", "checkpoint", "naive"])
+    def test_random_specs_match_scheduled_dispatch(self, marker):
+        for seed in range(12):
+            ref = _random_run(SchedulingSimulator, seed, marker)
+            sim = _random_run(Simulator, seed, marker)
+            assert _observed(sim) == _observed(ref), seed
+            assert sim._evseq == ref._evseq, seed
+            assert sim.events < ref.events, seed
+
+    @pytest.mark.parametrize("make", [FriesScheduler, EpochScheduler], ids=["fries", "ebr"])
+    def test_stress_specs_match_scheduled_dispatch(self, make):
+        for seed in range(40):
+            ref = _stress_run(SchedulingSimulator, seed, make)
+            sim = _stress_run(Simulator, seed, make)
+            assert _observed(sim) == _observed(ref), seed
+            assert sim._evseq == ref._evseq, seed
+
+    @pytest.mark.parametrize("halted", [True, False], ids=["run_delay", "t_max"])
+    @pytest.mark.parametrize("wf", sorted(HALT_CASES))
+    def test_workflows_match_scheduled_dispatch(self, wf, halted, monkeypatch):
+        for make in (FriesScheduler, EpochScheduler):
+            ref, ref_delay = _halt_case_run(SchedulingSimulator, wf, make, halted, monkeypatch)
+            sim, delay = _halt_case_run(Simulator, wf, make, halted, monkeypatch)
+            assert delay == ref_delay and math.isfinite(delay)
+            assert _observed(sim) == _observed(ref)
+            assert sim._evseq == ref._evseq
+            assert sim.events <= ref.events
+            if wf == "W4":
+                assert sim.events < ref.events
+
+    def test_zero_cost_backlog(self):
+        """A zero-cost sink drains a 10 000-tuple backlog, one finish event
+        per tuple with the next dispatch in place, without recursing."""
+        n = 10_000
+        dag = DAG.from_edges([("src", "J"), ("J", "sink")], one_to_many=["J"])
+        ops = {
+            "src": OpSpec("src", kind="source", rate=100, n_tuples=1),
+            "J": OpSpec("J", kind="join", cost={1: 0.001}, fanout=n),
+            "sink": OpSpec("sink", kind="sink"),
+        }
+        edges = {("J", "sink"): EdgeSpec("hash", capacity=n)}
+        runs = []
+        for cls in (SchedulingSimulator, Simulator):
+            sim = cls(WorkflowSpec(dag=dag, ops=ops, edges=edges))
+            sim.start()
+            sim.run()
+            runs.append(sim)
+        ref, sim = runs
+        assert len(sim.sink_log) == n
+        assert _observed(sim) == _observed(ref) and sim._evseq == ref._evseq
+        assert sim.events <= ref.events - n
+
+
 def _fields(msg: DataMsg) -> tuple:
     return (msg.txn, msg.key, msg.created, msg.version_tag)
 
