@@ -24,7 +24,9 @@ class Operator:
     at most one tuple per input tuple *on each output edge*;
     ``unique_per_txn`` is the §6.3 uniqueness property (at most one output
     tuple per data transaction); ``is_source`` marks operators with no
-    upstream dependency.
+    upstream dependency. Engine specs never set the three flags: the
+    planner's view of a spec derives them from each operator's kind
+    (``repro.engine.schedulers.effective_logical_dag``).
     """
 
     name: str

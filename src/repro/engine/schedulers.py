@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.dag import DAG
 from repro.core.fries import ReconfigPlan, plan_epoch, plan_general, plan_naive
@@ -40,9 +40,62 @@ from .workload import WorkflowSpec
 
 
 def effective_logical_dag(spec: WorkflowSpec) -> DAG:
-    """The logical DAG Fries plans on: ``spec.dag`` with §7.2's broadcast
-    adjustment (:func:`repro.core.parallel.broadcast_adjusted`)."""
-    return broadcast_adjusted(spec.dag, spec.strategies())
+    """The logical DAG Fries plans on: ``spec.dag`` with each operator's
+    planner flags derived from its :class:`OpSpec`, then §7.2's broadcast
+    adjustment (:func:`repro.core.parallel.broadcast_adjusted`).
+
+    A ``join`` with ``fanout > 1`` is one-to-many (Def 5.2). A
+    ``replicate`` is one-to-many and edge-wise one-to-one (§6.3). A
+    ``selfjoin`` is unique per transaction (§6.3) where at most ``arity``
+    copies of one transaction can reach it (:func:`max_copies`): it emits
+    once per ``arity`` copies, so more copies give more outputs."""
+    dag, ops = spec.dag, spec.ops
+    copies = max_copies(spec)
+    flagged = DAG()
+    for v in dag.vertices:
+        op = ops[v]
+        flagged.add_operator(replace(
+            dag.op(v),
+            one_to_many=op.kind == "replicate" or (op.kind == "join" and op.fanout > 1),
+            edgewise_one_to_one=op.kind == "replicate",
+            unique_per_txn=op.kind == "selfjoin" and copies[v] <= op.arity,
+        ))
+    for e in dag.edges:
+        flagged.add_edge(*e)
+    return broadcast_adjusted(flagged, spec.strategies())
+
+
+def max_copies(spec: WorkflowSpec) -> dict[str, int]:
+    """An upper bound on the copies of one transaction that reach each
+    operator, over all its workers. Counted per source in topological
+    order: a ``join`` multiplies the count by ``fanout``, a broadcast edge
+    by its destination's parallelism, a ``selfjoin`` passes on
+    ``max(1, n // arity)``, and every other kind passes ``n`` on each
+    out-edge."""
+    dag, ops, edges = spec.dag, spec.ops, spec.edges
+    order = dag.topological_order()
+    most = dict.fromkeys(order, 0)
+    for s in order:
+        if ops[s].kind != "source":
+            continue
+        n = dict.fromkeys(order, 0)
+        n[s] = 1
+        for v in order:
+            if not n[v]:
+                continue
+            op = ops[v]
+            if op.kind == "join":
+                out = n[v] * op.fanout
+            elif op.kind == "selfjoin":
+                out = max(1, n[v] // op.arity)
+            else:
+                out = n[v]
+            for w in dag.out_edges(v):
+                fan = ops[w].parallelism if edges[(v, w)].strategy == "broadcast" else 1
+                n[w] += out * fan
+        for v in order:
+            most[v] = max(most[v], n[v])
+    return most
 
 
 @dataclass

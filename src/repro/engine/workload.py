@@ -18,7 +18,9 @@ from typing import Sequence
 
 from repro.core.dag import DAG
 
-# Emission kinds, with their operator-class semantics:
+# Emission kinds, with their operator-class semantics. The kind decides the
+# planner's flags: an engine spec's DAG never sets them, and
+# ``repro.engine.schedulers.effective_logical_dag`` derives them.
 #   source     — emits per rate schedule (one-to-one)
 #   map        — 1 tuple in, 1 out, emitted on out-edge 0 only
 #   filter     — 0/1 out (selectivity), one-to-one
@@ -27,7 +29,8 @@ from repro.core.dag import DAG
 #   join       — k outputs per input (fanout), one-to-many when fanout>1
 #   replicate  — 1 output on *each* out-edge (edge-wise one-to-one)
 #   selfjoin   — stateful: emits one combined tuple once `arity` copies of a
-#                transaction have arrived (unique per txn)
+#                transaction have arrived at one worker (unique per txn
+#                where at most `arity` copies can reach it)
 #   sink       — consumes
 KINDS = (
     "source",
@@ -141,6 +144,12 @@ class WorkflowSpec:
         for v in self.dag.vertices:
             if v not in self.ops:
                 raise ValueError(f"no OpSpec for operator {v!r}")
+            o = self.dag.op(v)
+            if o.one_to_many or o.edgewise_one_to_one or o.unique_per_txn:
+                raise ValueError(
+                    f"operator {v!r} carries planner flags; a spec derives them from "
+                    "its OpSpec (repro.engine.schedulers.effective_logical_dag)"
+                )
         for e in self.dag.edges:
             self.edges.setdefault(e, EdgeSpec())
 

@@ -192,8 +192,7 @@ def w4(
             ("FD1", "FD2"),
             ("FD2", "F2"),
             ("F2", "sink"),
-        ],
-        one_to_many=["U2"],
+        ]
     )
     ops = {
         "src": OpSpec(
@@ -243,9 +242,7 @@ def w5(
             ("FD4", "SJ"),
             ("SJ", "E1"),
             ("E1", "sink"),
-        ],
-        edgewise_one_to_one=["RE"],
-        unique_per_txn=["SJ"],
+        ]
     )
     ops = {
         "src": OpSpec(

@@ -91,7 +91,7 @@ class TestBasicFlow:
 class TestOperatorKinds:
     def _run(self, mid_spec: OpSpec, out_edges=None, n=100):
         edges = out_edges or [("src", "M"), ("M", "sink")]
-        dag = DAG.from_edges(edges, one_to_many=["M"] if mid_spec.kind == "join" and mid_spec.fanout > 1 else [])
+        dag = DAG.from_edges(edges)
         ops = {"src": OpSpec("src", kind="source", rate=10000, n_tuples=n,
                              key_dist=KeyDist.uniform(10)),
                "M": mid_spec}
@@ -147,9 +147,7 @@ class TestSelfJoin:
     def test_selfjoin_combines_replicas(self):
         dag = DAG.from_edges(
             [("src", "RE"), ("RE", "A"), ("RE", "B"), ("A", "SJ"), ("B", "SJ"),
-             ("SJ", "sink")],
-            edgewise_one_to_one=["RE"],
-            unique_per_txn=["SJ"],
+             ("SJ", "sink")]
         )
         ops = {
             "src": OpSpec("src", kind="source", rate=5000, n_tuples=100,
@@ -170,9 +168,7 @@ class TestSelfJoin:
     def test_selfjoin_parallel_workers_keyed_routing(self):
         dag = DAG.from_edges(
             [("src", "RE"), ("RE", "A"), ("RE", "B"), ("A", "SJ"), ("B", "SJ"),
-             ("SJ", "sink")],
-            edgewise_one_to_one=["RE"],
-            unique_per_txn=["SJ"],
+             ("SJ", "sink")]
         )
         ops = {
             "src": OpSpec("src", kind="source", rate=5000, n_tuples=100,
@@ -558,8 +554,7 @@ def _stress_run(cls, seed: int, make) -> Simulator:
     chain, names = _random_chain_spec(rng)
     ops = dict(chain.ops, src2=OpSpec("src2", kind="source", rate=rng.choice([200, 500]),
                                       n_tuples=150, key_dist=KeyDist.uniform(30)))
-    dag = DAG.from_edges(chain.dag.edges + [("src2", names[-1])],
-                         one_to_many=[n for n in names if ops[n].kind == "join"])
+    dag = DAG.from_edges(chain.dag.edges + [("src2", names[-1])])
     spec = WorkflowSpec(dag=dag, ops=ops, edges=dict(chain.edges), seed=chain.seed)
     for name in names:
         if rng.random() < 0.5:
@@ -676,7 +671,7 @@ class TestInPlaceDispatch:
         """A zero-cost sink drains a 10 000-tuple backlog, one finish event
         per tuple with the next dispatch in place, without recursing."""
         n = 10_000
-        dag = DAG.from_edges([("src", "J"), ("J", "sink")], one_to_many=["J"])
+        dag = DAG.from_edges([("src", "J"), ("J", "sink")])
         ops = {
             "src": OpSpec("src", kind="source", rate=100, n_tuples=1),
             "J": OpSpec("J", kind="join", cost={1: 0.001}, fanout=n),

@@ -74,8 +74,7 @@ class TestAlignment:
         # from both branches.
         dag = DAG.from_edges(
             [("src", "RE"), ("RE", "fast"), ("RE", "slow"), ("fast", "M"),
-             ("slow", "M"), ("M", "sink")],
-            edgewise_one_to_one=["RE"],
+             ("slow", "M"), ("M", "sink")]
         )
         ops = {
             "src": OpSpec("src", kind="source", rate=200, n_tuples=150,
@@ -100,9 +99,9 @@ class TestAlignment:
         assert res.delay > 0.5
 
     def test_pruned_plan_skips_alignment(self):
-        # With pruning M is NOT synchronized with RE... M is a selfjoin
-        # without unique flag? It has arity 2 (receives both replicas), so
-        # pruning must NOT fire (both RE edges reach M). Verify that.
+        # M is a selfjoin, unique per txn, but the uniqueness rule never
+        # counts the reconfiguration operator itself, and both RE edges
+        # reach M: pruning must NOT fire. Verify that.
         sim = Simulator(self.two_path_spec(), record="none")
         sched = FriesScheduler(prune=True)
         res = run_reconfig_experiment(sim, sched, {"M"}, t_request=0.4, t_end=200.0)

@@ -5,9 +5,10 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass, field
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -28,6 +29,7 @@ from repro.engine import (
     WorkflowSpec,
     run_reconfig_experiment,
 )
+from repro.engine.schedulers import effective_logical_dag
 
 
 def fig2_spec(fm_cost=0.02) -> WorkflowSpec:
@@ -49,8 +51,7 @@ def fig8_spec() -> WorkflowSpec:
     """One-to-many join J fanning out to FMX via split SP (Figure 8)."""
     dag = DAG.from_edges(
         [("src", "FC"), ("FC", "J"), ("J", "SP"), ("SP", "FMX"), ("SP", "FMY"),
-         ("FMX", "U"), ("FMY", "U"), ("U", "sink")],
-        one_to_many=["J"],
+         ("FMX", "U"), ("FMY", "U"), ("U", "sink")]
     )
     ops = {
         "src": OpSpec("src", kind="source", rate=300, n_tuples=200,
@@ -329,15 +330,15 @@ def _random_chain_spec(rng: random.Random):
     n_mid = rng.randint(2, 4)
     names = [f"op{i}" for i in range(n_mid)]
     edges = [("src", names[0])] + list(zip(names, names[1:])) + [(names[-1], "sink")]
-    otm = [names[1]] if rng.random() < 0.5 else []
-    dag = DAG.from_edges(edges, one_to_many=otm)
+    joins = [names[1]] if rng.random() < 0.5 else []
+    dag = DAG.from_edges(edges)
     ops = {
         "src": OpSpec("src", kind="source", rate=rng.choice([200, 500]),
                       n_tuples=150, key_dist=KeyDist.uniform(30)),
         "sink": OpSpec("sink", kind="sink"),
     }
     for nm in names:
-        if nm in otm:
+        if nm in joins:
             ops[nm] = OpSpec(nm, kind="join", fanout=rng.randint(2, 3),
                              cost={1: rng.choice([0.001, 0.005])},
                              out_key=KeyDist.uniform(30))
@@ -387,3 +388,192 @@ def test_epoch_always_serializable_random(seed):
     )
     assert res.completed
     assert check(sim.schedule_log).serializable
+
+
+# Motifs of a branching DAG, each chained after the last operator of the
+# one before: a map, a filter, a fan-out join, replicate → two maps →
+# selfjoin, split → two maps → union, and a second source merged by a union.
+MOTIFS = ("map", "filter", "fanout", "diamond", "split", "merge")
+SLOW, CHEAP = {1: 0.004, 2: 0.001}, {1: 0.0005}
+
+
+@dataclass
+class Branching:
+    """A branching spec and a request on it. The operators of the i-th
+    motif carry the suffix i (see :func:`branching_spec`). Unlisted
+    operators have one worker and unlisted edges are hash edges."""
+
+    motifs: tuple[str, ...]
+    targets: tuple[str, ...]
+    t: float
+    parallelism: dict[str, int] = field(default_factory=dict)
+    strategies: dict[tuple[str, str], str] = field(default_factory=dict)
+    capacity: int = 50
+
+
+def branching_spec(case: Branching) -> WorkflowSpec:
+    """``src`` → ``case.motifs`` → ``sink``. A map or filter is M/F, a
+    fan-out join J (fanout 2, keeps the key), a diamond RE → {A, B} → SJ
+    (arity 2), a split SP → {X, Y} → U, and a merge S → U."""
+    ops: dict[str, OpSpec] = {}
+    edges: list[tuple[str, str]] = []
+
+    def add(name, kind, *inputs, **kw):
+        ops[name] = OpSpec(name, kind=kind, parallelism=case.parallelism.get(name, 1), **kw)
+        edges.extend((u, name) for u in inputs)
+        return name
+
+    tail = add("src", "source", rate=300, n_tuples=150, key_dist=KeyDist.uniform(30))
+    for i, motif in enumerate(case.motifs):
+        if motif == "map":
+            tail = add(f"M{i}", "map", tail, cost=SLOW)
+        elif motif == "filter":
+            tail = add(f"F{i}", "filter", tail, cost=SLOW, selectivity=0.7)
+        elif motif == "fanout":
+            tail = add(f"J{i}", "join", tail, cost=CHEAP, fanout=2)
+        elif motif == "diamond":
+            re = add(f"RE{i}", "replicate", tail, cost=CHEAP)
+            a, b = add(f"A{i}", "map", re, cost=SLOW), add(f"B{i}", "map", re, cost=CHEAP)
+            tail = add(f"SJ{i}", "selfjoin", a, b, cost=CHEAP, arity=2)
+        elif motif == "split":
+            sp = add(f"SP{i}", "split", tail, cost=CHEAP)
+            x, y = add(f"X{i}", "map", sp, cost=SLOW), add(f"Y{i}", "map", sp, cost=CHEAP)
+            tail = add(f"U{i}", "union", x, y, cost=CHEAP)
+        else:
+            s = add(f"S{i}", "source", rate=200, n_tuples=100, key_dist=KeyDist.uniform(30))
+            tail = add(f"U{i}", "union", tail, s, cost=CHEAP)
+    add("sink", "sink", tail)
+    return WorkflowSpec(
+        dag=DAG.from_edges(edges),
+        ops=ops,
+        edges={e: EdgeSpec(case.strategies.get(e, "hash"), capacity=case.capacity)
+               for e in edges},
+    )
+
+
+@st.composite
+def branchings(draw) -> Branching:
+    """2–4 motifs; p ∈ {1, 2} per operator; hash, broadcast or (between
+    equal parallelisms) forward edges; capacity 5 or 50; 1–3 targets; a
+    request at 0.05–0.3 s."""
+    motifs = tuple(draw(st.lists(st.sampled_from(MOTIFS), min_size=2, max_size=4)))
+    skeleton = branching_spec(Branching(motifs, (), 0.0))
+    inner = [v for v, op in skeleton.ops.items() if op.kind not in ("source", "sink")]
+    parallelism = {v: draw(st.sampled_from([1, 2])) for v in inner}
+    strategies = {}
+    for a, b in skeleton.dag.edges:
+        choices = ["hash", "broadcast"]
+        if parallelism.get(a, 1) == parallelism.get(b, 1):
+            choices.append("forward")
+        strategies[(a, b)] = draw(st.sampled_from(choices))
+    return Branching(
+        motifs,
+        targets=tuple(draw(st.lists(st.sampled_from(inner), min_size=1, max_size=3, unique=True))),
+        t=draw(st.floats(0.05, 0.3)),
+        parallelism=parallelism,
+        strategies=strategies,
+        capacity=draw(st.sampled_from([5, 50])),
+    )
+
+
+def run_case(case: Branching, scheduler):
+    return run(branching_spec(case), scheduler, set(case.targets), t_req=case.t, t_end=500.0)
+
+
+# src → J (fanout 2) → RE → {A, B} → SJ → M → sink: four copies of each
+# transaction reach SJ, which emits twice.
+FANOUT_DIAMOND = ("fanout", "diamond", "map")
+# src →broadcast→ M0 (p workers) → RE → {A, B} → SJ → M → sink: 2p copies.
+BROADCAST_DIAMOND = ("map", "diamond", "map")
+
+
+def fanout_diamond(p: int, t: float) -> Branching:
+    ops = ("J0", "RE1", "A1", "B1", "SJ1", "M2")
+    return Branching(FANOUT_DIAMOND, ("M2",), t, parallelism=dict.fromkeys(ops, p))
+
+
+def broadcast_diamond(p: int, t: float) -> Branching:
+    return Branching(BROADCAST_DIAMOND, ("M2",), t, parallelism={"M0": p},
+                     strategies={("src", "M0"): "broadcast"})
+
+
+class TestPlannerFlags:
+    """The planner's flags come from each operator's kind, in
+    ``effective_logical_dag``; a spec's DAG carries none."""
+
+    @pytest.mark.parametrize(
+        "op,flags",
+        [
+            (OpSpec("X", kind="map"), (False, False, False)),
+            (OpSpec("X", kind="filter"), (False, False, False)),
+            (OpSpec("X", kind="split"), (False, False, False)),
+            (OpSpec("X", kind="union"), (False, False, False)),
+            (OpSpec("X", kind="join", fanout=1), (False, False, False)),
+            (OpSpec("X", kind="join", fanout=3), (True, False, False)),
+            (OpSpec("X", kind="replicate"), (True, True, False)),
+            (OpSpec("X", kind="selfjoin", arity=2), (False, False, True)),
+        ],
+        ids=lambda x: f"{x.kind}-{x.fanout}" if isinstance(x, OpSpec) else None,
+    )
+    def test_kind_to_flags(self, op, flags):
+        ops = {"src": OpSpec("src", kind="source"), "X": op, "sink": OpSpec("sink", kind="sink")}
+        spec = WorkflowSpec(dag=DAG.from_edges([("src", "X"), ("X", "sink")]), ops=ops)
+        o = effective_logical_dag(spec).op("X")
+        assert (o.one_to_many, o.edgewise_one_to_one, o.unique_per_txn) == flags
+
+    def test_flagged_dag_rejected(self):
+        dag = DAG.from_edges([("src", "J"), ("J", "sink")], one_to_many=["J"])
+        ops = {"src": OpSpec("src", kind="source"), "J": OpSpec("J", kind="join", fanout=2),
+               "sink": OpSpec("sink", kind="sink")}
+        with pytest.raises(ValueError, match="planner flags"):
+            WorkflowSpec(dag=dag, ops=ops)
+
+    @pytest.mark.parametrize("case,unique", [
+        (fanout_diamond(1, 0.1), False),
+        (broadcast_diamond(2, 0.1), False),
+        (broadcast_diamond(1, 0.1), True),
+        (Branching(("diamond", "diamond"), ("M1",), 0.1), True),
+    ], ids=["fanout", "broadcast-p2", "broadcast-p1", "two-diamonds"])
+    def test_selfjoin_unique_only_up_to_arity(self, case, unique):
+        """A selfjoin emits once per ``arity`` copies of a transaction at
+        one worker: it is unique per txn only where at most ``arity``
+        copies can reach it."""
+        d = effective_logical_dag(branching_spec(case))
+        sj = [v for v in d.vertices if v.startswith("SJ")][-1]
+        assert d.op(sj).unique_per_txn == unique
+
+
+class TestSelfJoinCopies:
+    """Pruned Fries on a selfjoin that more than ``arity`` copies of a
+    transaction reach: the uniqueness rule must not drop the fan-out
+    point, or the selfjoin's outputs of one transaction straddle the
+    update."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("t", [0.05, 0.1, 0.15, 0.2, 0.3])
+    def test_fanout_before_selfjoin(self, p, t):
+        sim, res = run_case(fanout_diamond(p, t), sched := FriesScheduler())
+        assert sched.plan.m == {"J0", "M2"}
+        assert res.completed
+        assert check(sim.schedule_log).serializable
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("t", [0.05, 0.1, 0.15, 0.2, 0.3])
+    def test_broadcast_before_selfjoin(self, p, t):
+        sim, res = run_case(broadcast_diamond(p, t), sched := FriesScheduler())
+        assert sched.plan.m == {"src", "M2"}
+        assert res.completed
+        assert check(sim.schedule_log).serializable
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=branchings())
+@example(case=fanout_diamond(2, 0.1))
+@example(case=broadcast_diamond(2, 0.1))
+def test_branching_serializable(case):
+    """Theorems 5.8/6.4 and Lemma 4.11 on branching DAGs: pruned Fries,
+    unpruned Fries and EBR schedules are all conflict-serializable."""
+    for scheduler in (FriesScheduler(), FriesScheduler(prune=False), EpochScheduler()):
+        sim, res = run_case(case, scheduler)
+        assert res.completed
+        assert check(sim.schedule_log).serializable, scheduler

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 
 from repro.engine import Simulator
+from repro.engine.schedulers import effective_logical_dag
 from repro.workflows import defs
 
 
@@ -38,7 +39,7 @@ class TestW2:
     def test_joins_one_to_one(self):
         s = defs.w2()
         for j in ("J1", "J2", "J3", "J4"):
-            assert not s.dag.op(j).one_to_many
+            assert not effective_logical_dag(s).op(j).one_to_many
             assert s.ops[j].fanout == 1
 
     def test_source_buffer_deeper_than_interior(self):
@@ -66,7 +67,7 @@ class TestW3:
 class TestW4:
     def test_unnest_is_one_to_many(self):
         s = defs.w4()
-        assert s.dag.op("U2").one_to_many
+        assert effective_logical_dag(s).op("U2").one_to_many
         assert s.ops["U2"].fanout > 1
 
     def test_chain_order(self):
@@ -88,12 +89,12 @@ class TestW4:
 class TestW5:
     def test_replicate_flags(self):
         s = defs.w5()
-        re = s.dag.op("RE")
+        re = effective_logical_dag(s).op("RE")
         assert re.one_to_many and re.edgewise_one_to_one
 
     def test_selfjoin_flags(self):
         s = defs.w5()
-        assert s.dag.op("SJ").unique_per_txn
+        assert effective_logical_dag(s).op("SJ").unique_per_txn
         assert s.ops["SJ"].kind == "selfjoin" and s.ops["SJ"].arity == 2
 
     def test_two_branches_into_sj(self):
@@ -134,8 +135,8 @@ SPEC_FINGERPRINTS = {
 def test_spec_fingerprint(name):
     build, kwargs, sha1 = SPEC_FINGERPRINTS[name]
     spec = build(**kwargs)
-    dag = spec.dag
-    state = (dag.edges, [dag.op(v) for v in dag.vertices], spec.ops, spec.edges,
+    dag = effective_logical_dag(spec)
+    state = (dag.edges, [dag.op(v) for v in spec.dag.vertices], spec.ops, spec.edges,
              spec.fcm_latency, spec.seed)
     assert hashlib.sha1(repr(state).encode()).hexdigest() == sha1
 
