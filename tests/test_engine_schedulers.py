@@ -480,20 +480,18 @@ def run_case(case: Branching, scheduler):
     return run(branching_spec(case), scheduler, set(case.targets), t_req=case.t, t_end=500.0)
 
 
-# src → J (fanout 2) → RE → {A, B} → SJ → M → sink: four copies of each
-# transaction reach SJ, which emits twice.
-FANOUT_DIAMOND = ("fanout", "diamond", "map")
-# src →broadcast→ M0 (p workers) → RE → {A, B} → SJ → M → sink: 2p copies.
-BROADCAST_DIAMOND = ("map", "diamond", "map")
-
-
 def fanout_diamond(p: int, t: float) -> Branching:
+    """src → J (fanout 2) → RE → {A, B} → SJ → M → sink, p workers each:
+    four copies of each transaction reach SJ, which emits twice."""
     ops = ("J0", "RE1", "A1", "B1", "SJ1", "M2")
-    return Branching(FANOUT_DIAMOND, ("M2",), t, parallelism=dict.fromkeys(ops, p))
+    return Branching(("fanout", "diamond", "map"), ("M2",), t,
+                     parallelism=dict.fromkeys(ops, p))
 
 
 def broadcast_diamond(p: int, t: float) -> Branching:
-    return Branching(BROADCAST_DIAMOND, ("M2",), t, parallelism={"M0": p},
+    """src →broadcast→ M0 (p workers) → RE → {A, B} → SJ → M → sink: 2p
+    copies of each transaction reach SJ."""
+    return Branching(("map", "diamond", "map"), ("M2",), t, parallelism={"M0": p},
                      strategies={("src", "M0"): "broadcast"})
 
 
