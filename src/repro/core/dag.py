@@ -6,8 +6,9 @@ Def 5.1) or *one-to-many* (Def 5.2). Operators may additionally carry the
 *uniqueness* property (§6.3: emits at most one output tuple per data
 transaction, e.g. a self-join on a key).
 
-The DAG is immutable after ``freeze()`` (called implicitly by most
-accessors); construction is incremental via ``add_operator``/``add_edge``.
+Construction is incremental via ``add_operator``/``add_edge`` (or
+``DAG.from_edges``); the topological order is cached and dropped on each
+change.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ class Operator:
     property of e.g. Replicate/broadcast: one-to-many overall but emitting
     at most one tuple per input tuple *on each output edge*;
     ``unique_per_txn`` is the §6.3 uniqueness property (at most one output
-    tuple per data transaction); ``is_source`` marks operators with no
-    upstream dependency. Engine specs never set the three flags: the
+    tuple per data transaction). Engine specs never set the three flags: the
     planner's view of a spec derives them from each operator's kind
     (``repro.engine.schedulers.effective_logical_dag``).
     """
@@ -33,7 +33,6 @@ class Operator:
     one_to_many: bool = False
     edgewise_one_to_one: bool = False
     unique_per_txn: bool = False
-    is_source: bool = False
 
 
 class DAG:
@@ -83,13 +82,10 @@ class DAG:
         one_to_many: Iterable[str] = (),
         edgewise_one_to_one: Iterable[str] = (),
         unique_per_txn: Iterable[str] = (),
-        sources: Iterable[str] | None = None,
-        extra_vertices: Iterable[str] = (),
     ) -> "DAG":
         """Convenience constructor from an edge list.
 
-        Vertices are created on first mention. ``sources`` defaults to all
-        vertices with no incoming edge.
+        Vertices are created on first mention.
         """
         edges = list(edges)
         otm, upt = set(one_to_many), set(unique_per_txn)
@@ -99,11 +95,6 @@ class DAG:
             for v in (a, b):
                 if v not in names:
                     names.append(v)
-        for v in extra_vertices:
-            if v not in names:
-                names.append(v)
-        have_in = {b for _, b in edges}
-        src = set(sources) if sources is not None else {n for n in names if n not in have_in}
         dag = cls()
         for n in names:
             dag.add_operator(
@@ -112,7 +103,6 @@ class DAG:
                     one_to_many=n in otm or n in e11,
                     edgewise_one_to_one=n in e11,
                     unique_per_txn=n in upt,
-                    is_source=n in src,
                 )
             )
         for a, b in edges:
@@ -142,7 +132,7 @@ class DAG:
         return list(self._in[v])
 
     def sources(self) -> list[str]:
-        return [n for n, o in self._ops.items() if o.is_source or not self._in[n]]
+        return [n for n in self._ops if not self._in[n]]
 
     def sinks(self) -> list[str]:
         return [n for n in self._ops if not self._out[n]]

@@ -144,12 +144,17 @@ class WorkflowSpec:
         for v in self.dag.vertices:
             if v not in self.ops:
                 raise ValueError(f"no OpSpec for operator {v!r}")
+            if self.ops[v].name != v:
+                raise ValueError(f"OpSpec {self.ops[v].name!r} is keyed as {v!r}")
             o = self.dag.op(v)
             if o.one_to_many or o.edgewise_one_to_one or o.unique_per_txn:
                 raise ValueError(
                     f"operator {v!r} carries planner flags; a spec derives them from "
                     "its OpSpec (repro.engine.schedulers.effective_logical_dag)"
                 )
+        stray = self.edges.keys() - set(self.dag.edges)
+        if stray:
+            raise ValueError(f"EdgeSpec keyed on {sorted(stray)}, not DAG edges")
         for e in self.dag.edges:
             self.edges.setdefault(e, EdgeSpec())
 

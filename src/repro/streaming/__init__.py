@@ -1,6 +1,7 @@
-"""Spark-side reconfiguration executors: mini-batch epochs (Table 2's
-Spark Streaming strategy) and offline swap-schedule replay for consistency
-validation on real Catalyst execution."""
+"""Spark-side reconfiguration executors: the mini-batch baseline (Table 2's
+Spark Streaming strategy, one pass with a version cut at the first epoch
+boundary after the request) and offline swap-schedule replay for
+consistency validation on real Catalyst execution."""
 from .consistency import count_mixed, mixed_version_txns, versions_per_txn
 from .fcm_exec import (
     SwapSchedule,

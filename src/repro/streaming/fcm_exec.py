@@ -26,7 +26,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
-from repro.workflows.spark_queries import _with_scores
+from repro.workflows.spark_queries import _with_version_scores
 
 RECONFIG_OPS = ("FD1", "FD2")
 
@@ -80,10 +80,6 @@ def w4_with_swap(
         F.col("p.amount").alias("amount"),
     )
     u2 = u2.withColumn("row_pos", F.row_number().over(Window.orderBy("seq")) - 1)
-    # Every row is scored under both configurations (v1 heavy AE, v2 light
-    # AE); the swap predicate below picks the applicable one per row.
-    scored = _with_scores(u2, key_col="txn", scores={"fd1_v1": 1, "fd1_v2": 2})
-    scored = _with_scores(scored, key_col="merchant_id", scores={"fd2_v1": 1, "fd2_v2": 2})
 
     if schedule.mode == "naive":
         cuts = schedule.row_cuts or {}
@@ -93,12 +89,10 @@ def w4_with_swap(
         cut = schedule.txn_cut if schedule.txn_cut is not None else 1 << 62
         v_fd1 = F.when(F.col("txn_pos") < cut, 1).otherwise(2)
         v_fd2 = v_fd1
-    out = scored.withColumn("v_FD1", v_fd1).withColumn("v_FD2", v_fd2)
-    out = out.withColumn(
-        "user_score", F.when(F.col("v_FD1") == 1, F.col("fd1_v1")).otherwise(F.col("fd1_v2"))
-    ).withColumn(
-        "merchant_score",
-        F.when(F.col("v_FD2") == 1, F.col("fd2_v1")).otherwise(F.col("fd2_v2")),
+    out = u2.withColumn("v_FD1", v_fd1).withColumn("v_FD2", v_fd2)
+    out = _with_version_scores(out, key_col="txn", version_col="v_FD1", out_col="user_score")
+    out = _with_version_scores(
+        out, key_col="merchant_id", version_col="v_FD2", out_col="merchant_score"
     )
     return out.select(
         "txn", "txn_pos", "seq", "row_pos", "merchant_id", "amount",

@@ -192,6 +192,19 @@ def _with_scores(df: DataFrame, *, key_col: str, scores: dict[str, int]) -> Data
     return df.groupBy(key_col).applyInPandas(fn, schema=schema)
 
 
+def _with_version_scores(
+    df: DataFrame, *, key_col: str, version_col: str, out_col: str
+) -> DataFrame:
+    """FD under a per-row configuration (the multi-version mechanics of
+    §4.1): score every row under v1 and v2 in one ``_with_scores`` pass and
+    keep in ``out_col`` the score of the row's own version (``version_col``,
+    1 or 2)."""
+    v1, v2 = f"{out_col}_v1", f"{out_col}_v2"
+    scored = _with_scores(df, key_col=key_col, scores={v1: 1, v2: 2})
+    pick = F.when(F.col(version_col) == 1, F.col(v1)).otherwise(F.col(v2))
+    return scored.withColumn(out_col, pick).drop(v1, v2)
+
+
 def w1_pipeline(payments: DataFrame, *, version: int = 1) -> DataFrame:
     """W1: score each payment with the user-based FD model, flag fraud."""
     scored = _with_scores(

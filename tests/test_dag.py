@@ -64,16 +64,6 @@ class TestConstruction:
         d = fig5_dag()
         assert set(d.sinks()) == {"H"}
 
-    def test_explicit_sources(self):
-        d = DAG.from_edges([("a", "b")], sources=["a"])
-        assert d.op("a").is_source
-        assert not d.op("b").is_source
-
-    def test_extra_vertices(self):
-        d = DAG.from_edges([("a", "b")], extra_vertices=["lonely"])
-        assert "lonely" in d
-        assert d.in_edges("lonely") == []
-
     def test_contains(self):
         d = fig5_dag()
         assert "A" in d and "Z" not in d

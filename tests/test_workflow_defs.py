@@ -113,21 +113,21 @@ class TestW5:
 # The first five are the builders' defaults; the rest are the specs that
 # perfbench and the Table 4-7 runners build.
 SPEC_FINGERPRINTS = {
-    "w1": (defs.w1, {}, "5f0e0dbf8fa084eac98091c48d503bb5d5d44334"),
-    "w2": (defs.w2, {}, "7bd326633e319eb180b32e068a9af4efe3ddce6d"),
-    "w3": (defs.w3, {}, "8fccb553ed107279fca288a22eb1469071f91ea9"),
-    "w4": (defs.w4, {}, "7ec0d26fa1db4f0cd652218c207c899293c1c1e7"),
-    "w5": (defs.w5, {}, "db9068b4e11b93457068e7a563be1fbf1daa3878"),
+    "w1": (defs.w1, {}, "57ac9075fdfac868f5cfb288bb0c64cb504ec01e"),
+    "w2": (defs.w2, {}, "6e756ee7b9150e70f65fce292e2ed5b22e3f3be6"),
+    "w3": (defs.w3, {}, "bc586104ea86add00d615223ff35ebb2ac94183c"),
+    "w4": (defs.w4, {}, "46b1a060a70c40ff15aa1d2f35b11422060775c8"),
+    "w5": (defs.w5, {}, "fca938ac2303e4928c1aea9d7795b48ab6e1d31f"),
     "w2-p4": (defs.w2, dict(parallelism=4, rate=8000.0),
-              "7bd326633e319eb180b32e068a9af4efe3ddce6d"),
+              "6e756ee7b9150e70f65fce292e2ed5b22e3f3be6"),
     "w3-p4": (defs.w3, dict(parallelism=4, rate=6000.0),
-              "8fccb553ed107279fca288a22eb1469071f91ea9"),
+              "bc586104ea86add00d615223ff35ebb2ac94183c"),
     "w2-p40": (defs.w2, dict(parallelism=40, rate=8000.0),
-               "806ba224e555fc4f148e2024e3cd2053a8009aa5"),
+               "df99ddf6459f24f31f3a6c44207d614cdbc5be9e"),
     "w4-p4": (defs.w4, dict(parallelism=4, rate=40.0, fanout=12),
-              "7ec0d26fa1db4f0cd652218c207c899293c1c1e7"),
+              "46b1a060a70c40ff15aa1d2f35b11422060775c8"),
     "w5-p4": (defs.w5, dict(parallelism=4, rate=300.0),
-              "db9068b4e11b93457068e7a563be1fbf1daa3878"),
+              "fca938ac2303e4928c1aea9d7795b48ab6e1d31f"),
 }
 
 
@@ -167,6 +167,23 @@ class TestOpSpecBehaviour:
 
         with pytest.raises(ValueError, match="no OpSpec"):
             WorkflowSpec(dag=DAG.from_edges([("a", "b")]), ops={})
+
+    def test_opspec_name_must_match_key(self):
+        from repro.core.dag import DAG
+        from repro.engine.workload import OpSpec, WorkflowSpec
+
+        ops = {"src": OpSpec("src", kind="source"), "A": OpSpec("X")}
+        with pytest.raises(ValueError, match="keyed as 'A'"):
+            WorkflowSpec(dag=DAG.from_edges([("src", "A")]), ops=ops)
+
+    def test_edgespec_off_the_dag_rejected(self):
+        from repro.core.dag import DAG
+        from repro.engine.workload import EdgeSpec, OpSpec, WorkflowSpec
+
+        dag = DAG.from_edges([("src", "A"), ("A", "B")])
+        ops = {"src": OpSpec("src", kind="source"), "A": OpSpec("A"), "B": OpSpec("B")}
+        with pytest.raises(ValueError, match="not DAG edges"):
+            WorkflowSpec(dag=dag, ops=ops, edges={("src", "B"): EdgeSpec(capacity=5)})
 
     def test_keydist_zipf_skewed(self):
         import random
