@@ -2,8 +2,9 @@
 
 Usage: spark-submit jobs/run_table5.py [--sf 0.001]
 
-The W4 Spark pipeline over ``synth_data.payments_by_user`` provides the
-unnest fan-out distribution; its mean parameterises the simulator.
+With ``--sf`` the unnest fan-out is profiled over
+``synth_data.payments_by_user`` (``repro.workflows.profiles.profile_w4``):
+its mean, payments per user, parameterises the simulator.
 """
 import argparse
 
@@ -19,13 +20,13 @@ def main() -> None:
     fanout = 12
     if args.sf > 0:
         from _session import get_spark
-        from pyspark.sql import functions as F
 
         from repro import synth_data
+        from repro.workflows.profiles import profile_w4
 
         spark = get_spark("fries-table5-profile")
         bu = synth_data.payments_by_user(spark, sf=args.sf)
-        fanout = max(2, int(bu.select(F.avg(F.size("pays"))).first()[0]))
+        fanout = max(2, int(profile_w4(bu).selectivity["U2"]))
         print(f"profiled unnest fanout: {fanout}")
         spark.stop()
 

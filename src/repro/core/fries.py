@@ -32,9 +32,7 @@ class ReconfigPlan:
         weakly-connected components of the MCS, each a synchronization unit.
     ``heads``
         per component, the operators receiving an FCM from the controller.
-    ``marker_edges``
-        the union of component-internal edges: the only edges on which
-        epoch markers are propagated (empty for singleton components).
+        Epoch markers travel only on the components' edges.
     ``longest_path``
         max over components of the longest path (in edges) — the metric
         reported in Tables 4–6.
@@ -45,28 +43,19 @@ class ReconfigPlan:
     mcs: SubDAG
     component_list: tuple[SubDAG, ...]
     heads: tuple[tuple[str, ...], ...]
-    marker_edges: frozenset[tuple[str, str]]
     longest_path: int
-
-    def component_of(self, op: str) -> SubDAG | None:
-        for c in self.component_list:
-            if op in c.vertices:
-                return c
-        return None
 
 
 def _plan_from_m(dag: DAG, reconfig_ops: frozenset[str], m: set[str]) -> ReconfigPlan:
     mcs = find_mcs(dag, m)
     comps = tuple(components(dag, mcs))
     heads = tuple(tuple(head_operators(c)) for c in comps)
-    marker_edges = frozenset(e for c in comps for e in c.edges)
     return ReconfigPlan(
         reconfig_ops=reconfig_ops,
         m=frozenset(m),
         mcs=mcs,
         component_list=comps,
         heads=heads,
-        marker_edges=marker_edges,
         longest_path=max((dag.longest_path_edges(c.vertices) for c in comps), default=0),
     )
 
@@ -106,21 +95,10 @@ def plan_general(dag: DAG, reconfig_ops: Iterable[str], *, prune: bool = True) -
 
 
 def plan_epoch(dag: DAG, reconfig_ops: Iterable[str]) -> ReconfigPlan:
-    """The EBR baseline expressed in the same plan shape: markers are
-    injected at every source and aligned over the whole DAG, so the "MCS"
-    is the entire dataflow and every source is a head."""
-    ops = frozenset(reconfig_ops)
-    vs = frozenset(dag.vertices)
-    whole = SubDAG(vs, frozenset(dag.edges))
-    return ReconfigPlan(
-        reconfig_ops=ops,
-        m=vs,
-        mcs=whole,
-        component_list=(whole,),
-        heads=(tuple(sorted(dag.sources())),),
-        marker_edges=frozenset(dag.edges),
-        longest_path=dag.longest_path_edges(),
-    )
+    """The EBR baseline expressed in the same plan shape: M is every
+    operator, so the MCS is the entire dataflow, markers are aligned over
+    all of it and every source is a head."""
+    return _plan_from_m(dag, frozenset(reconfig_ops), set(dag.vertices))
 
 
 def plan_naive(dag: DAG, reconfig_ops: Iterable[str]) -> ReconfigPlan:
@@ -135,6 +113,5 @@ def plan_naive(dag: DAG, reconfig_ops: Iterable[str]) -> ReconfigPlan:
         mcs=SubDAG(ops),
         component_list=tuple(SubDAG(frozenset({v})) for v in order),
         heads=tuple((v,) for v in order),
-        marker_edges=frozenset(),
         longest_path=0,
     )

@@ -38,6 +38,8 @@ from .messages import EpochMarker
 from .simulator import Simulator
 from .workload import WorkflowSpec
 
+STOP_RESTART_COST = 10.0  # seconds the savepoint scheduler adds for stop + restart
+
 
 def effective_logical_dag(spec: WorkflowSpec) -> DAG:
     """The logical DAG Fries plans on: ``spec.dag`` with each operator's
@@ -106,7 +108,6 @@ class ReconfigResult:
     apply_times: dict[str, float] = field(default_factory=dict)
     delay: float = math.inf
     completed: bool = False
-    plan: ReconfigPlan | None = None
 
 
 def start_plan(sim: Simulator, plan: ReconfigPlan, t: float) -> None:
@@ -138,7 +139,6 @@ class PlanScheduler:
             apply_times=times,
             delay=(max(times.values()) - t) if done else math.inf,
             completed=done,
-            plan=self.plan,
         )
 
 
@@ -171,10 +171,7 @@ class EpochScheduler(PlanScheduler):
 
 class SavepointScheduler(EpochScheduler):
     """Flink savepoint + stop-and-restart: EBR delay at the *sinks* (the
-    whole old epoch must drain) plus a fixed stop/restart overhead."""
-
-    def __init__(self, stop_restart_cost: float = 10.0) -> None:
-        self.stop_restart_cost = stop_restart_cost
+    whole old epoch must drain) plus :data:`STOP_RESTART_COST`."""
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
         # The savepoint must cover every operator, so the marker also
@@ -185,7 +182,7 @@ class SavepointScheduler(EpochScheduler):
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
         r = super().result(sim, t)
         if r.completed:
-            r.delay += self.stop_restart_cost
+            r.delay += STOP_RESTART_COST
         return r
 
 

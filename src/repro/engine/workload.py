@@ -4,10 +4,9 @@ A :class:`WorkflowSpec` pairs a logical operator DAG (from ``repro.core``)
 with per-operator runtime behaviour (cost per tuple per configuration
 version, emission semantics, parallelism, straggler factors, output-key
 distribution) and per-edge channel parameters (partitioning, latency,
-capacity). Key distributions and selectivities are typically derived from
-Spark profiles of the real workflow (``repro.workflows.profiles``), so the
-simulator's queueing behaviour — including skew-induced stragglers —
-mirrors the data.
+capacity). The calibrated workflows in ``repro.workflows.defs`` draw keys
+from fixed Zipf distributions; only their join selectivities and W4's
+unnest fan-out are measured on Spark (``repro.workflows.profiles``).
 """
 from __future__ import annotations
 
@@ -63,14 +62,6 @@ class KeyDist:
             acc += 1.0 / r**alpha
             w.append(acc)
         return cls(range(n_keys), w)
-
-    @classmethod
-    def table(cls, values: Sequence[int], weights: Sequence[float]) -> "KeyDist":
-        acc, cw = 0.0, []
-        for x in weights:
-            acc += x
-            cw.append(acc)
-        return cls(list(values), cw)
 
     def sample(self, rng: random.Random) -> int:
         x = rng.random() * self.cum_weights[-1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.workflows.spark_queries import FRAUD_THRESHOLD, _with_version_scores
@@ -33,7 +33,6 @@ class MicrobatchRun:
 
 
 def run_w1_microbatch(
-    spark: SparkSession,
     payments: DataFrame,
     *,
     epoch_size: int,
@@ -41,8 +40,7 @@ def run_w1_microbatch(
 ) -> MicrobatchRun:
     """Run W1 in epochs of ``epoch_size`` payments; FD's model swaps from v1
     (heavy LSTM-AE) to v2 (light) at the first epoch boundary after
-    ``request_seq``. ``spark`` is unused: the session comes with
-    ``payments``."""
+    ``request_seq``."""
     first_v2 = request_seq // epoch_size + 1 if request_seq is not None else 1 << 62
     tagged = (
         payments.select("payment_id", "seq", "user_id", "amount")

@@ -1,18 +1,18 @@
-"""Spark-side workload profiling that calibrates the engine simulator.
+"""Spark-side profiling of the simulator inputs that are measured on data.
 
-The simulator's queueing behaviour depends on the per-edge tuple volumes
-(join selectivities) and the partition-key skew (which creates the paper's
-straggler workers). Both are measured here by running the actual W2/W3
-Spark pipelines over ``synth_data.tpcds_lite`` and the W1 payment stream,
-stage by stage.
+Two inputs come from running the real Spark pipelines: the W2/W3 join
+selectivities (``jobs/run_table4.py --profile``), measured stage by stage
+over ``synth_data.tpcds_lite``, and the W4 unnest fan-out
+(``jobs/run_table5.py --sf``), measured over
+``synth_data.payments_by_user``. The simulator's key skew is not measured
+here: it comes from the Zipf constants in ``repro.workflows.defs``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
-
-from repro.engine.workload import KeyDist
+from pyspark.sql import functions as F
 
 from . import spark_queries as q
 
@@ -23,66 +23,23 @@ class WorkflowProfile:
 
     rows: dict[str, int] = field(default_factory=dict)  # operator -> output rows
     selectivity: dict[str, float] = field(default_factory=dict)  # op -> out/in ratio
-    key_dists: dict[str, KeyDist] = field(default_factory=dict)  # op -> key skew
-    skew: dict[str, float] = field(default_factory=dict)  # op -> max/mean worker load
 
 
-def key_dist_of(df: DataFrame, col: str, *, top: int = 1000) -> KeyDist:
-    """Empirical key distribution of a column (top-``top`` keys; the tail
-    is kept by lumping its total weight on a fresh sentinel key so total
-    mass is preserved without collecting millions of rows)."""
-    counts = (
-        df.groupBy(col).count().orderBy("count", ascending=False).limit(top).collect()
-    )
-    total = df.count()
-    vals = [int(r[col]) for r in counts]
-    weights = [float(r["count"]) for r in counts]
-    covered = sum(weights)
-    if total > covered and vals:
-        vals.append(max(vals) + 1)
-        weights.append(float(total - covered))
-    return KeyDist.table(vals, weights)
-
-
-def worker_skew(dist: KeyDist, parallelism: int) -> float:
-    """Max/mean worker load under ``key % p`` routing — the paper's data
-    skew that produces straggler workers (§8.3)."""
-    load = [0.0] * parallelism
-    # KeyDist stores a cumulative table; recover the per-key weights.
-    prev = 0.0
-    for v, cw in zip(dist.values, dist.cum_weights):
-        load[v % parallelism] += cw - prev
-        prev = cw
-    mean = sum(load) / parallelism
-    return (max(load) / mean) if mean else 1.0
-
-
-def profile_w2(tables: dict[str, DataFrame], *, parallelism: int = 8) -> WorkflowProfile:
-    """Row counts, selectivities, and partition-key skew of the W2 chain."""
+def profile_w2(tables: dict[str, DataFrame]) -> WorkflowProfile:
+    """Row counts and selectivities of the W2 chain."""
     p = WorkflowProfile()
     n_in = tables["catalog_sales"].count()
     p.rows["src"] = n_in
-    stages = q.w2_stages(tables)
-    keys = {
-        "J1": "cs_order_number",
-        "J2": "cs_warehouse_sk",
-        "J3": "cs_item_sk",
-        "J4": "cs_sold_date_sk",
-    }
     prev = n_in
-    for name, df in zip(("J1", "J2", "J3", "J4"), stages):
+    for name, df in zip(("J1", "J2", "J3", "J4"), q.w2_stages(tables)):
         n = df.count()
         p.rows[name] = n
         p.selectivity[name] = n / prev if prev else 0.0
         prev = n
-    for name, col in keys.items():
-        d = key_dist_of(tables["catalog_sales"], col)
-        p.key_dists[name] = d
-        p.skew[name] = worker_skew(d, parallelism)
     return p
 
 
-def profile_w3(tables: dict[str, DataFrame], *, parallelism: int = 8) -> WorkflowProfile:
+def profile_w3(tables: dict[str, DataFrame]) -> WorkflowProfile:
     """Row counts and selectivities of the W3 union-of-channels pipeline."""
     p = WorkflowProfile()
     stages = q.w3_stages(tables)
@@ -101,18 +58,15 @@ def profile_w3(tables: dict[str, DataFrame], *, parallelism: int = 8) -> Workflo
         n = stages[name].count()
         p.rows[name] = n
         p.selectivity[name] = n / p.rows[upstream] if p.rows[upstream] else 0.0
-    d = key_dist_of(stages["U1"], "sold_item_sk")
-    p.key_dists["J8"] = d
-    p.skew["J8"] = worker_skew(d, parallelism)
     return p
 
 
-def profile_w1(payments: DataFrame, *, parallelism: int = 8) -> WorkflowProfile:
-    """Key skew of the payment stream's user partitioning (drives the W1
-    straggler behaviour in §8.3)."""
-    p = WorkflowProfile()
-    p.rows["src"] = payments.count()
-    d = key_dist_of(payments, "user_id")
-    p.key_dists["FD"] = d
-    p.skew["FD"] = worker_skew(d, parallelism)
-    return p
+def profile_w4(by_user: DataFrame) -> WorkflowProfile:
+    """Users (``src``), payments (``U2``) and the unnest fan-out
+    ``selectivity["U2"]``: payments per user, over one
+    ``payments_by_user`` frame."""
+    users, pays = by_user.select(F.count(F.lit(1)), F.sum(F.size("pays"))).first()
+    pays = pays or 0
+    return WorkflowProfile(
+        rows={"src": users, "U2": pays}, selectivity={"U2": pays / users if users else 0.0}
+    )

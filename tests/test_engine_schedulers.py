@@ -29,7 +29,7 @@ from repro.engine import (
     WorkflowSpec,
     run_reconfig_experiment,
 )
-from repro.engine.schedulers import effective_logical_dag
+from repro.engine.schedulers import STOP_RESTART_COST, effective_logical_dag
 
 
 def fig2_spec(fm_cost=0.02) -> WorkflowSpec:
@@ -232,7 +232,7 @@ class TestEpochScheduler:
             "sink": OpSpec("sink", kind="sink"),
         }
         spec = WorkflowSpec(dag=dag, ops=ops)
-        for scheduler in (EpochScheduler(), SavepointScheduler(stop_restart_cost=1.0)):
+        for scheduler in (EpochScheduler(), SavepointScheduler()):
             _, res = run(spec, scheduler, {"src"}, t_req=0.1)
             assert res.completed
             assert res.apply_times["src#0"] == pytest.approx(0.1 + spec.fcm_latency)
@@ -258,9 +258,9 @@ class TestSavepointScheduler:
         """§8.1: the savepoint scheduler always has a larger delay than the
         epoch scheduler (alignment to the sinks + stop/restart)."""
         _, r_ep = run(fig2_spec(), EpochScheduler(), {"FM"})
-        _, r_sv = run(fig2_spec(), SavepointScheduler(stop_restart_cost=5.0), {"FM"})
+        _, r_sv = run(fig2_spec(), SavepointScheduler(), {"FM"})
         assert r_sv.completed
-        assert r_sv.delay > r_ep.delay + 4.9
+        assert r_sv.delay > r_ep.delay + STOP_RESTART_COST - 0.1
 
 
 class TestMultiVersionScheduler:

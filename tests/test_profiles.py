@@ -1,16 +1,10 @@
 """Tests for Spark-side workload profiling (simulator calibration)."""
-import random
-
 import pytest
+from pyspark.sql import functions as F
 
 from repro import synth_data
-from repro.workflows.profiles import (
-    key_dist_of,
-    profile_w1,
-    profile_w2,
-    profile_w3,
-    worker_skew,
-)
+from repro.workflows import defs
+from repro.workflows.profiles import profile_w2, profile_w3, profile_w4
 
 SF = 0.005
 
@@ -46,16 +40,6 @@ class TestProfileW2:
         assert p.selectivity["J3"] < 0.6  # price filter bites
         assert p.rows["J4"] < p.rows["J1"]
 
-    def test_key_dists_present(self, w2_profile):
-        p = w2_profile
-        assert set(p.key_dists) == {"J1", "J2", "J3", "J4"}
-
-    def test_warehouse_key_is_skewed_across_workers(self, w2_profile):
-        # 6 warehouses on 8 workers (profile_w2's default parallelism):
-        # some workers idle -> max/mean > 1.
-        p = w2_profile
-        assert p.skew["J2"] > 1.0
-
 
 class TestProfileW3:
     def test_channel_selectivities(self, w3_profile):
@@ -68,35 +52,18 @@ class TestProfileW3:
         assert p.rows["U1"] == p.rows["J5"] + p.rows["J6"] + p.rows["J7"]
 
 
-class TestProfileW1:
-    def test_user_skew_measured(self, spark):
-        pay = synth_data.payments(spark, sf=0.0002)
-        p = profile_w1(pay, parallelism=4)
-        assert p.skew["FD"] > 1.0  # zipf users load workers unevenly
+def test_selectivity_keys_match_defs(w2_profile, w3_profile):
+    """``run_table4.py --profile`` overrides the recorded defaults key by
+    key, so a profile must measure exactly the joins ``defs`` records."""
+    assert w2_profile.selectivity.keys() == defs.W2_SELECTIVITY.keys()
+    assert w3_profile.selectivity.keys() == defs.W3_SELECTIVITY.keys()
 
 
-class TestHelpers:
-    def test_key_dist_mass_preserved(self, spark):
-        pay = synth_data.payments(spark, sf=0.0002)
-        d = key_dist_of(pay, "user_id", top=10)
-        assert d.cum_weights[-1] == pytest.approx(pay.count())
-
-    def test_key_dist_sampling_matches_frequencies(self, spark):
-        pay = synth_data.payments(spark, sf=0.0002)
-        d = key_dist_of(pay, "user_id", top=50)
-        rng = random.Random(0)
-        samples = [d.sample(rng) for _ in range(1000)]
-        # The most frequent key must dominate the samples too.
-        assert samples.count(d.values[0]) >= samples.count(d.values[-1])
-
-    def test_worker_skew_uniform_is_one(self):
-        from repro.engine.workload import KeyDist
-
-        d = KeyDist.table(list(range(8)), [1.0] * 8)
-        assert worker_skew(d, 4) == pytest.approx(1.0)
-
-    def test_worker_skew_concentrated(self):
-        from repro.engine.workload import KeyDist
-
-        d = KeyDist.table([0], [1.0])
-        assert worker_skew(d, 4) == pytest.approx(4.0)
+def test_w4_fanout_is_payments_per_user(spark):
+    by_user = synth_data.payments_by_user(spark, sf=0.0002)
+    users = by_user.count()
+    pays = synth_data.payments(spark, sf=0.0002).count()
+    p = profile_w4(by_user)
+    assert p.rows == {"src": users, "U2": pays}
+    assert p.selectivity["U2"] == pays / users
+    assert p.selectivity["U2"] == by_user.select(F.avg(F.size("pays"))).first()[0]

@@ -31,8 +31,8 @@ def by_user(spark):
 
 
 @pytest.fixture(scope="module")
-def run_500_700(spark, pay):
-    return run_w1_microbatch(spark, pay, epoch_size=500, request_seq=700)
+def run_500_700(pay):
+    return run_w1_microbatch(pay, epoch_size=500, request_seq=700)
 
 
 # Each replay runs two FD scoring passes; build every distinct schedule once.
@@ -68,8 +68,8 @@ def all_v2_out(by_user):
 
 
 class TestMicrobatch:
-    def test_every_tuple_processed_once(self, spark, pay):
-        run = run_w1_microbatch(spark, pay, epoch_size=500)
+    def test_every_tuple_processed_once(self, pay):
+        run = run_w1_microbatch(pay, epoch_size=500)
         assert len(run.output) == pay.count()
         assert run.output.payment_id.is_unique
 
@@ -86,8 +86,8 @@ class TestMicrobatch:
         run = run_500_700
         assert run.delay_tuples == 300  # seqs 700..999 of epoch 1
 
-    def test_no_mixed_versions_per_epoch(self, spark, pay):
-        run = run_w1_microbatch(spark, pay, epoch_size=400, request_seq=100)
+    def test_no_mixed_versions_per_epoch(self, pay):
+        run = run_w1_microbatch(pay, epoch_size=400, request_seq=100)
         mixed = run.output.groupby("epoch").version.nunique()
         assert (mixed == 1).all()
 
@@ -102,9 +102,9 @@ class TestMicrobatch:
             rows = out[out.version == v]
             assert (rows.score == w1.set_index("payment_id").score[rows.index]).all()
 
-    def test_larger_epochs_larger_delay(self, spark, pay):
-        d1 = run_w1_microbatch(spark, pay, epoch_size=200, request_seq=100).delay_tuples
-        d2 = run_w1_microbatch(spark, pay, epoch_size=1000, request_seq=100).delay_tuples
+    def test_larger_epochs_larger_delay(self, pay):
+        d1 = run_w1_microbatch(pay, epoch_size=200, request_seq=100).delay_tuples
+        d2 = run_w1_microbatch(pay, epoch_size=1000, request_seq=100).delay_tuples
         assert d2 > d1
 
 

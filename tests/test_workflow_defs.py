@@ -195,14 +195,3 @@ class TestOpSpecBehaviour:
         samples = [d.sample(rng) for _ in range(2000)]
         top = sum(1 for s in samples if s == 0)
         assert top > 200  # rank-1 key dominates
-
-    def test_keydist_table(self):
-        import random
-
-        from repro.engine.workload import KeyDist
-
-        d = KeyDist.table([7, 9], [0.9, 0.1])
-        rng = random.Random(1)
-        samples = [d.sample(rng) for _ in range(500)]
-        assert set(samples) <= {7, 9}
-        assert samples.count(7) > 350
