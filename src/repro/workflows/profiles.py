@@ -62,11 +62,8 @@ def profile_w3(tables: dict[str, DataFrame]) -> WorkflowProfile:
 
 
 def profile_w4(by_user: DataFrame) -> WorkflowProfile:
-    """Users (``src``), payments (``U2``) and the unnest fan-out
-    ``selectivity["U2"]``: payments per user, over one
+    """Users (``rows["src"]``), payments (``rows["U2"]``) and the W4
+    unnest fan-out, payments per user (``selectivity["U2"]``), of a
     ``payments_by_user`` frame."""
     users, pays = by_user.select(F.count(F.lit(1)), F.sum(F.size("pays"))).first()
-    pays = pays or 0
-    return WorkflowProfile(
-        rows={"src": users, "U2": pays}, selectivity={"U2": pays / users if users else 0.0}
-    )
+    return WorkflowProfile(rows={"src": users, "U2": pays}, selectivity={"U2": pays / users})
