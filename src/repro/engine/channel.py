@@ -21,6 +21,12 @@ sources — §3.2's reason small buffers do not fix epoch delay).
 A marker is always sent, whatever the load, and is strictly FIFO-ordered
 behind previously sent data.
 
+While a channel holds nothing, ``queue`` is the shared empty tuple. The
+first send into an empty channel allocates a ``deque``, and the pop that
+empties it gives the ``deque`` back (:meth:`Worker._dispatch`). A hash edge
+has p² channels (§7.2), nearly all empty at any one time, so a run's memory
+follows its messages in flight, not its channel count.
+
 A channel registers itself as the next input of its destination worker and
 keeps that input index: the worker's ready heap names channels by it.
 """
@@ -59,7 +65,7 @@ class Channel:
         self.dst = dst
         self.latency = latency
         self.capacity = capacity
-        self.queue: deque = deque()  # (t, seq, msg): sent, unpopped, in send order
+        self.queue: deque | tuple = ()  # (t, seq, msg): sent, unpopped, in send order
         self.markers_in_flight = 0
         self.blocked = False  # alignment block: dst must not consume
         inputs = dst.inputs
@@ -77,8 +83,10 @@ class Channel:
         sim, queue, dst = self.sim, self.queue, self.dst
         sim._evseq = seq = sim._evseq + 1
         t = sim.now + self.latency
-        if not queue and not self.blocked:
-            heappush(dst.ready, (t, seq, self.index))
+        if not queue:
+            self.queue = queue = deque()
+            if not self.blocked:
+                heappush(dst.ready, (t, seq, self.index))
         queue.append(entry := (t, seq, msg))
         # An idle worker with no dispatch scheduled wakes at this arrival,
         # unless an earlier wake is pending.
@@ -92,8 +100,10 @@ class Channel:
         sim, queue = self.sim, self.queue
         sim._evseq = seq = sim._evseq + 1
         t = sim.now + self.latency
-        if not queue and not self.blocked:
-            heappush(self.dst.ready, (t, seq, self.index))
+        if not queue:
+            self.queue = queue = deque()
+            if not self.blocked:
+                heappush(self.dst.ready, (t, seq, self.index))
         queue.append((t, seq, marker))
         self.markers_in_flight += 1
         sim.schedule_keyed(t, seq, self._marker_arrived)

@@ -12,9 +12,10 @@ that would schedule it (see :mod:`.worker`): it takes a key but is not a
 loop event. Under ``record="all"`` the run logs every operation in
 ``op_log``, an :class:`OpLog` of typed columns that iterates as ``(t,
 worker, txn, version)`` rows, an update μ(o) under ``UPDATE_TXN``, and
-every sink arrival in ``sink_log``; ``schedule_log`` is a §4.2 schedule
-view over ``op_log``'s columns, which copies nothing. Apply times
-(reconfiguration delay) and checkpoint snapshots are always kept.
+every sink arrival in ``sink_log``, a :class:`SinkLog` of typed columns
+that iterates as ``(arrival, created, txn)`` rows; ``schedule_log`` is a
+§4.2 schedule view over ``op_log``'s columns, which copies nothing. Apply
+times (reconfiguration delay) and checkpoint snapshots are always kept.
 """
 from __future__ import annotations
 
@@ -59,6 +60,23 @@ class OpLog:
         return zip(self.t, map(self.names.__getitem__, self.worker), self.txn, self.version)
 
 
+class SinkLog:
+    """Sink arrivals as typed columns, one entry per tuple that reached a
+    sink: ``arrival`` and ``created`` (virtual times) and ``txn``.
+    Iterating yields ``(arrival, created, txn)`` rows."""
+
+    def __init__(self) -> None:
+        self.arrival = array("d")
+        self.created = array("d")
+        self.txn = array("q")
+
+    def __len__(self) -> int:
+        return len(self.txn)
+
+    def __iter__(self) -> Iterator[tuple[float, float, int]]:
+        return zip(self.arrival, self.created, self.txn)
+
+
 class Simulator:
     """One engine instance executing one workflow spec."""
 
@@ -81,7 +99,7 @@ class Simulator:
         self._halted = False
         self.record = record
         self.apply_times: dict[str, float] = {}
-        self.sink_log: list[tuple[float, float, int]] = []  # (arrival, created, txn)
+        self.sink_log = SinkLog()
         self.snapshots: dict[int, dict[str, int]] = {}
 
         # Instantiate workers.
@@ -220,7 +238,10 @@ class Simulator:
 
     def log_sink(self, msg) -> None:
         if self.record == "all":
-            self.sink_log.append((self.now, msg.created, msg.txn))
+            log = self.sink_log
+            log.arrival.append(self.now)
+            log.created.append(msg.created)
+            log.txn.append(msg.txn)
 
     @property
     def schedule_log(self) -> ColumnSchedule:

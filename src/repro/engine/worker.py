@@ -47,7 +47,6 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_right
-from collections import deque
 from heapq import heappop, heappush, heapreplace
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -97,7 +96,7 @@ class Worker:
         self._cost: dict[int, float] = {}  # version -> this worker's cost_at
         self.applied = False
         self.multiversion = False  # registered new config, per-tuple versioning
-        self.control: deque[EpochMarker | str] = deque()
+        self.control: tuple[EpochMarker | str, ...] = ()  # FCMs not handled yet
         self.state = "idle"  # idle | busy | blocked
         self._pending: list[tuple[Channel, DataMsg]] = []
         self._dispatch_scheduled = False
@@ -123,7 +122,7 @@ class Worker:
     # control plane
     # ------------------------------------------------------------------
     def on_fcm(self, fcm: EpochMarker | str) -> None:
-        self.control.append(fcm)
+        self.control += (fcm,)
         if self.op.kind == "source":
             self._handle_control()
         else:
@@ -135,7 +134,8 @@ class Worker:
         split the processing of a tuple and markers stay FIFO behind sent
         data."""
         while self.control:
-            fcm = self.control.popleft()
+            fcm = self.control[0]
+            self.control = self.control[1:]
             if type(fcm) is EpochMarker:
                 # Plan head: open the component's epoch.
                 self._open_epoch(fcm)
@@ -220,6 +220,7 @@ class Worker:
                 t, seq, _ = queue[0]
                 heapreplace(self.ready, (t, seq, ch.index))
             else:
+                ch.queue = ()  # an empty channel holds no deque
                 heappop(self.ready)
             if type(msg) is not DataMsg:
                 self._on_marker(ch, msg)

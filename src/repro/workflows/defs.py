@@ -33,6 +33,10 @@ COST_CHEAP = 0.0001
 N_USERS = 2000  # W1/W4/W5 source keys
 N_JOIN_KEYS = 2000  # W2/W3 source and join keys
 
+# The key tables, built once and shared by every spec: sampling only reads them.
+USER_KEYS = KeyDist.zipf(N_USERS, alpha=1.1)
+JOIN_KEYS = KeyDist.zipf(N_JOIN_KEYS, alpha=1.05)
+
 
 def w1(
     *,
@@ -54,7 +58,7 @@ def w1(
             rate=rate,
             rate_schedule=rate_schedule,
             n_tuples=n_tuples,
-            key_dist=KeyDist.zipf(N_USERS, alpha=1.1),
+            key_dist=USER_KEYS,
         ),
         "FD": OpSpec(
             "FD", kind="map", parallelism=parallelism,
@@ -98,14 +102,14 @@ def w2(
     ops: dict[str, OpSpec] = {
         "src": OpSpec(
             "src", kind="source", parallelism=parallelism, rate=rate / parallelism,
-            n_tuples=n_tuples, key_dist=KeyDist.zipf(N_JOIN_KEYS, alpha=1.05),
+            n_tuples=n_tuples, key_dist=JOIN_KEYS,
         ),
         "sink": OpSpec("sink", kind="sink", parallelism=parallelism),
     }
     for j in ("J1", "J2", "J3", "J4"):
         ops[j] = OpSpec(
             j, kind="join", parallelism=parallelism, cost={1: COST_JOIN},
-            selectivity=sel[j], fanout=1, out_key=KeyDist.zipf(N_JOIN_KEYS, alpha=1.05),
+            selectivity=sel[j], fanout=1, out_key=JOIN_KEYS,
         )
     edges = {
         e: EdgeSpec("forward" if e[1] == "sink" else "hash",
@@ -156,12 +160,12 @@ def w3(
         ops[s] = OpSpec(
             s, kind="source", parallelism=parallelism,
             rate=rate * r / parallelism,
-            n_tuples=n_tuples, key_dist=KeyDist.zipf(N_JOIN_KEYS, alpha=1.05),
+            n_tuples=n_tuples, key_dist=JOIN_KEYS,
         )
     for j in ("J5", "J6", "J7", "J8", "J9"):
         ops[j] = OpSpec(
             j, kind="join", parallelism=parallelism, cost={1: W3_COSTS[j]},
-            selectivity=sel[j], fanout=1, out_key=KeyDist.zipf(N_JOIN_KEYS, alpha=1.05),
+            selectivity=sel[j], fanout=1, out_key=JOIN_KEYS,
         )
     edges = {
         e: EdgeSpec("forward" if e[1] == "sink" else "hash",
@@ -197,13 +201,13 @@ def w4(
     ops = {
         "src": OpSpec(
             "src", kind="source", rate=rate, n_tuples=n_tuples,
-            key_dist=KeyDist.zipf(N_USERS, alpha=1.1),
+            key_dist=USER_KEYS,
         ),
         "F1": OpSpec("F1", kind="filter", parallelism=parallelism,
                      cost={1: COST_CHEAP}, selectivity=0.6),
         "U2": OpSpec("U2", kind="join", parallelism=parallelism,
                      cost={1: COST_CHEAP}, fanout=fanout,
-                     out_key=KeyDist.zipf(N_USERS, alpha=1.1)),
+                     out_key=USER_KEYS),
         "FD1": OpSpec("FD1", kind="map", parallelism=parallelism,
                       cost={1: COST_LSTM, 2: COST_LSTM_LIGHT}),
         "FD2": OpSpec("FD2", kind="map", parallelism=parallelism,
@@ -247,7 +251,7 @@ def w5(
     ops = {
         "src": OpSpec(
             "src", kind="source", rate=rate, n_tuples=n_tuples,
-            key_dist=KeyDist.zipf(N_USERS, alpha=1.1),
+            key_dist=USER_KEYS,
         ),
         "RE": OpSpec("RE", kind="replicate", parallelism=parallelism, cost={1: COST_CHEAP}),
         "FD3": OpSpec("FD3", kind="map", parallelism=parallelism,

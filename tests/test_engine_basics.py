@@ -61,7 +61,7 @@ class TestBasicFlow:
             sim = Simulator(chain_spec())
             sim.start()
             sim.run()
-            return sim.sink_log
+            return list(sim.sink_log)
 
         assert run() == run()
 
@@ -409,8 +409,10 @@ class DeliveryChannel(Channel):
         if type(msg) is DataMsg:
             self.in_transit -= 1
         sim.delivered += 1  # delivery order: the ready heap's key
-        if not self.queue and not self.blocked:
-            heapq.heappush(self.dst.ready, (sim.now, sim.delivered, self.index))
+        if not self.queue:
+            self.queue = deque()
+            if not self.blocked:
+                heapq.heappush(self.dst.ready, (sim.now, sim.delivered, self.index))
         self.queue.append((sim.now, sim.delivered, msg))
         self.dst.notify()
 
@@ -437,7 +439,7 @@ def _observed(sim: Simulator):
         sim.apply_times,
         list(sim.op_log),
         sim.snapshots,
-        sim.sink_log,
+        list(sim.sink_log),
         {name: w.processed for name, w in sim.workers.items()},
         sim.now,
     )
@@ -800,7 +802,7 @@ class TestRecording:
         sim, delay = _halt_case_run(Simulator, "W2", FriesScheduler, True, monkeypatch)
         _, ops, _, _ = HALT_CASES["W2"]
         assert sim.record == "none" and math.isfinite(delay)
-        assert len(sim.op_log) == 0 and len(sim.schedule_log) == 0 and sim.sink_log == []
+        assert len(sim.op_log) == 0 and len(sim.schedule_log) == 0 and len(sim.sink_log) == 0
         assert set(sim.apply_times) == sim.reconfig_workers(ops)
 
     def test_all_logs_every_operation(self):

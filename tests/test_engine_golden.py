@@ -6,6 +6,7 @@ If a change alters a run on purpose, print the new values with
 ``PYTHONPATH=src python -m tests.test_engine_golden`` and say which
 entries moved and why.
 """
+import copy
 import hashlib
 import random
 
@@ -39,7 +40,7 @@ def fingerprint(sim: Simulator) -> str:
         sorted(sim.apply_times.items()),
         list(sim.op_log),
         sorted(sim.snapshots.items()),
-        sim.sink_log,
+        list(sim.sink_log),
         sorted((name, w.processed) for name, w in sim.workers.items()),
         sim.now,
         sim._evseq,
@@ -47,11 +48,9 @@ def fingerprint(sim: Simulator) -> str:
     return hashlib.sha1(repr(state).encode()).hexdigest()
 
 
-def chain_run(action: str, seed: int) -> Simulator:
-    """Random pipeline ``seed`` with one action at a random time, run to
-    the end. ``checkpoint+fries`` starts a checkpoint, requests Fries 1 ms
-    later under the ``fries_safe`` policy, and starts a second checkpoint,
-    which is deferred until the FCMs are delivered."""
+def warmed_chain(seed: int) -> tuple[Simulator, set[str], float]:
+    """Random pipeline ``seed`` run up to its request time ``t``, with the
+    operators ``ops`` that its action reconfigures."""
     rng = random.Random(seed)
     spec, names = _random_chain_spec(rng)
     ops = set(rng.sample(names, rng.randint(1, 2)))
@@ -59,6 +58,14 @@ def chain_run(action: str, seed: int) -> Simulator:
     sim = Simulator(spec)
     sim.start()
     sim.run(until=t)
+    return sim, ops, t
+
+
+def finish_chain(sim: Simulator, action: str, ops: set[str], t: float) -> Simulator:
+    """Take ``action`` at ``t`` and run to the end. ``checkpoint+fries``
+    starts a checkpoint, requests Fries 1 ms later under the ``fries_safe``
+    policy, and starts a second checkpoint, which is deferred until the
+    FCMs are delivered."""
     if action == "checkpoint":
         CheckpointCoordinator(sim).start_checkpoint(t)
     elif action == "checkpoint+fries":
@@ -66,13 +73,20 @@ def chain_run(action: str, seed: int) -> Simulator:
         coord.start_checkpoint(t)
         t += 0.001
         sim.run(until=t)
-        coord.on_reconfig_request(t, t + spec.fcm_latency)
+        coord.on_reconfig_request(t, t + sim.spec.fcm_latency)
         FriesScheduler().request(sim, ops, t)
         coord.start_checkpoint(t)
     else:
         SCHEDULERS[action]().request(sim, ops, t)
     sim.run()
     return sim
+
+
+def chain_run(action: str, seed: int) -> Simulator:
+    """Random pipeline ``seed`` with one action at a random time, run to
+    the end."""
+    sim, ops, t = warmed_chain(seed)
+    return finish_chain(sim, action, ops, t)
 
 
 def run_of(key: str) -> Simulator:
@@ -177,6 +191,19 @@ GOLDEN = {
 @pytest.mark.parametrize("key", CASES)
 def test_golden_fingerprint(key):
     assert fingerprint(run_of(key)) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_fork_of_warmed_run_is_golden(action, seed):
+    """A deep copy of a simulator warmed up to its request time runs the
+    golden run, and so does the original after it: the two share no
+    state. An empty channel holds the shared empty tuple, in the copy too."""
+    sim, ops, t = warmed_chain(seed)
+    fork = copy.deepcopy(sim)
+    assert any(type(ch.queue) is tuple for ch in fork.channels)
+    assert fingerprint(finish_chain(sim, action, ops, t)) == GOLDEN[f"{action}-{seed}"]
+    assert fingerprint(finish_chain(fork, action, ops, t)) == GOLDEN[f"{action}-{seed}"]
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ place, and what the benchmark reads of them.
 ``Simulator.op_log`` stores one entry per operation in four typed columns,
 and ``schedule_log`` is a §4.2 schedule view over them. The tests here
 compare that view with a schedule of ``DataOp``/``UpdateOp`` built from the
-log's rows, bound the log's memory per row, and run the benchmark command
-that checks recorded schedules.
+log's rows, bound the memory per row of ``op_log`` and ``sink_log`` and the
+memory per channel of a built simulator, and run the benchmark command that
+checks recorded schedules.
 """
 import gc
 import math
@@ -15,12 +16,14 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from collections import deque
 
 import pytest
 
 from repro.core.serializability import check, check_brute_force
 from repro.core.transactions import UPDATE_TXN, ColumnSchedule, DataOp, Schedule, UpdateOp
 from repro.engine import EpochScheduler, FriesScheduler, MultiVersionScheduler, Simulator
+from repro.workflows import defs
 
 from .test_engine_basics import _halt_case_run
 from .test_engine_golden import chain_run
@@ -119,10 +122,9 @@ def test_multiversion_result_matches_row_scan():
     assert completed > 0
 
 
-def test_op_log_costs_at_most_32_bytes_per_row():
-    """A recorded W4 run at p=2: dropping ``op_log`` frees at most 32 bytes
-    per row (a tuple per row costs about 140) and at least the 8 of its
-    time column."""
+def _log_bytes_per_row(log: str) -> tuple[int, float]:
+    """A recorded W4 run at p=2: the rows of ``sim.<log>`` and the bytes
+    per row that dropping it frees."""
     build, ops, warmup, t_max = HALT_CASES["W4"]
     tracemalloc.start()
     try:
@@ -132,16 +134,62 @@ def test_op_log_costs_at_most_32_bytes_per_row():
         sim.run(until=warmup)
         scheduler.request(sim, ops, warmup)
         sim.run(until=t_max)
-        rows = len(sim.op_log)
+        rows = len(getattr(sim, log))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        sim.op_log = None
+        setattr(sim, log, None)
         gc.collect()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    return rows, freed / rows
+
+
+def test_op_log_costs_at_most_32_bytes_per_row():
+    """Dropping ``op_log`` frees at most 32 bytes per row (a tuple per row
+    costs about 140) and at least the 8 of its time column."""
+    rows, per_row = _log_bytes_per_row("op_log")
     assert rows > 10_000
-    assert 8 <= freed / rows <= 32, (freed, rows)
+    assert 8 <= per_row <= 32, (per_row, rows)
+
+
+def test_sink_log_costs_at_most_32_bytes_per_row():
+    """Dropping ``sink_log`` frees at most 32 bytes per row (a tuple per
+    row costs about 144) and at least the 24 of its three columns."""
+    rows, per_row = _log_bytes_per_row("sink_log")
+    assert rows > 5_000
+    assert 24 <= per_row <= 32, (per_row, rows)
+
+
+def test_built_simulator_holds_at_most_400_bytes_per_channel():
+    """W2 at the paper's p=40 has 6 440 channels, nearly all empty when
+    built: an empty channel holds no queue of its own (a deque per channel
+    made it about 1 080 bytes)."""
+    spec = defs.w2(parallelism=40)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim = Simulator(spec)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(sim.channels) == 6440
+    assert held / len(sim.channels) <= 400, held
+
+
+def test_drained_run_holds_no_deque():
+    """Once a run with ``n_tuples`` sources drains, through a Fries
+    reconfiguration, no channel holds a queue and no worker a pending FCM."""
+    sim = Simulator(defs.w2(parallelism=4, n_tuples=300))
+    sim.start()
+    sim.run(until=0.1)
+    FriesScheduler().request(sim, {"J1", "J3"}, 0.1)
+    sim.run()
+    assert sim.apply_times and len(sim.sink_log) > 0
+    assert not [ch for ch in sim.channels if type(ch.queue) is deque]
+    assert all(w.control == () for w in sim.workers.values())
 
 
 def test_perfbench_fraud_consistency_contract():
