@@ -30,3 +30,5 @@ def test_table6_pruning(benchmark):
     assert abs(fd34["pruned_ms"] - fd34["unpruned_ms"]) < 0.1 * fd34["unpruned_ms"]
     # F4: both small (no slow operator between RE and F4).
     assert by_ops["F4"]["unpruned_ms"] < 1000
+    # FD4's unpruned row exceeds F3's: FD4 has a straggler worker.
+    assert by_ops["FD4"]["unpruned_ms"] > by_ops["F3"]["unpruned_ms"]

@@ -4,7 +4,9 @@ Usage: spark-submit jobs/run_table5.py [--sf 0.001]
 
 With ``--sf`` the unnest fan-out is profiled over
 ``synth_data.payments_by_user`` (``repro.workflows.profiles.profile_w4``):
-its mean, payments per user, parameterises the simulator.
+its mean, payments per user, parameterises the simulator. ``synth_data``
+fixes 120 payments per user at every SF, so a profiled run simulates a
+different W4 from the committed ``benchmarks/out/table5.txt`` (fan-out 12).
 """
 import argparse
 
@@ -17,7 +19,7 @@ def main() -> None:
     ap.add_argument("--parallelism", type=int, default=4)
     args = ap.parse_args()
 
-    fanout = 12
+    fanout = 12  # the fan-out of the committed benchmarks/out/table5.txt
     if args.sf > 0:
         from _session import get_spark
 
@@ -26,8 +28,10 @@ def main() -> None:
 
         spark = get_spark("fries-table5-profile")
         bu = synth_data.payments_by_user(spark, sf=args.sf)
-        fanout = max(2, int(profile_w4(bu).selectivity["U2"]))
-        print(f"profiled unnest fanout: {fanout}")
+        profiled = max(2, int(profile_w4(bu).selectivity["U2"]))
+        print(f"profiled unnest fanout: {profiled} (the committed benchmarks/out/table5.txt "
+              f"uses {fanout}; rows at another fan-out differ from it)")
+        fanout = profiled
         spark.stop()
 
     rows = table5_rows(parallelism=args.parallelism, fanout=fanout)

@@ -29,6 +29,11 @@ follows its messages in flight, not its channel count.
 
 A channel registers itself as the next input of its destination worker and
 keeps that input index: the worker's ready heap names channels by it.
+
+A channel pickles flat: its state names ``src`` and ``dst`` by
+``Worker.id`` and leaves out ``sim``, which ``Simulator.__setstate__``
+rewires. So a pickle of a simulator does not follow worker → channel →
+worker links, and its depth does not grow with the worker graph.
 """
 from __future__ import annotations
 
@@ -71,6 +76,14 @@ class Channel:
         inputs = dst.inputs
         self.index = len(inputs)
         inputs.append(self)
+
+    def __getstate__(self) -> tuple:
+        return (self.src.id, self.dst.id, self.latency, self.capacity, self.queue,
+                self.markers_in_flight, self.blocked, self.index)
+
+    def __setstate__(self, state: tuple) -> None:
+        (self.src, self.dst, self.latency, self.capacity, self.queue,
+         self.markers_in_flight, self.blocked, self.index) = state
 
     # -- producer side ----------------------------------------------------
     def data_load(self) -> int:

@@ -254,15 +254,21 @@ def run_reconfig_experiment(
     t_request: float,
     t_end: float,
 ) -> ReconfigResult:
-    """Warm the engine up to ``t_request``, issue the reconfiguration, run
-    on, and return the measured delay.
+    """Warm the engine up to ``t_request``, then :func:`request_and_run`."""
+    sim.start()
+    sim.run(until=t_request)
+    return request_and_run(sim, scheduler, reconfig_ops, t_request=t_request, t_end=t_end)
+
+
+def request_and_run(sim: Simulator, scheduler, reconfig_ops: set[str], *,
+                    t_request: float, t_end: float) -> ReconfigResult:
+    """Issue the reconfiguration at ``t_request`` on an engine run up to
+    it, run on, and return the measured delay.
 
     A simulator that records nothing stops right after the apply that
     completes the reconfiguration, so nothing past the answer is
     simulated. A recording one runs to ``t_end`` (or drains): a schedule
     cut short at completion could hide a later violation."""
-    sim.start()
-    sim.run(until=t_request)
     scheduler.request(sim, reconfig_ops, t_request)
     done = lambda: scheduler.result(sim, t_request).completed  # noqa: E731
     sim.run(until=t_end, halt_on_apply=done if sim.record == "none" else None)

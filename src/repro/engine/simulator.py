@@ -16,11 +16,13 @@ every sink arrival in ``sink_log``, a :class:`SinkLog` of typed columns
 that iterates as ``(arrival, created, txn)`` rows; ``schedule_log`` is a
 §4.2 schedule view over ``op_log``'s columns, which copies nothing. Apply
 times (reconfiguration delay) and checkpoint snapshots are always kept.
+``fork`` copies a run, to continue it from ``now``.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import pickle
 from array import array
 from collections import deque
 from typing import Callable, Iterable, Iterator
@@ -131,6 +133,21 @@ class Simulator:
                 src.out.append((b, es.strategy, chans))
 
     # ------------------------------------------------------------------
+    # forking
+    # ------------------------------------------------------------------
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        workers = list(self.workers.values())  # in worker id order
+        for ch in self.channels:
+            ch.sim, ch.src, ch.dst = self, workers[ch.src], workers[ch.dst]
+
+    def fork(self) -> "Simulator":
+        """An independent copy of this simulator, to run on from ``now``: a
+        pickle round trip, whose depth does not grow with the worker graph
+        (see :mod:`.channel`)."""
+        return pickle.loads(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))
+
+    # ------------------------------------------------------------------
     # event loop
     # ------------------------------------------------------------------
     def schedule(self, t: float, fn: Callable, *args) -> None:
@@ -209,6 +226,7 @@ class Simulator:
                     raise RuntimeError("simulation exceeded max_events")
         finally:
             self._events += n
+            self._halt_on_apply = None  # often a closure, which cannot be pickled
 
     def start(self) -> None:
         for w in self.workers.values():

@@ -11,14 +11,16 @@ absolute values differ; the shape criteria are listed in DESIGN.md §5.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.fries import ReconfigPlan, plan_general
 from repro.engine.schedulers import (
     EpochScheduler,
     FriesScheduler,
+    PlanScheduler,
+    ReconfigResult,
     effective_logical_dag,
-    run_reconfig_experiment,
+    request_and_run,
 )
 from repro.engine.simulator import Simulator
 from repro.engine.workload import WorkflowSpec
@@ -29,6 +31,22 @@ from repro.workflows import defs
 # generic delay measurement
 # ---------------------------------------------------------------------------
 
+def delays(build: Callable[[], WorkflowSpec], requests: Sequence[tuple[PlanScheduler, set[str]]],
+           *, warmup: float, t_max: float) -> list[ReconfigResult]:
+    """The result of each ``(scheduler, reconfig_ops)`` request, made at
+    ``warmup`` on one warmed run of ``build()`` that records nothing, and
+    run until it completes (or ``t_max``). Each request but the last runs
+    on a fork of that run (:meth:`Simulator.fork`), the last on the run
+    itself, so one request forks nothing."""
+    sim = Simulator(build(), record="none")
+    sim.start()
+    sim.run(until=warmup)
+    *forked, (scheduler, ops) = requests
+    results = [request_and_run(sim.fork(), s, o, t_request=warmup, t_end=t_max) for s, o in forked]
+    results.append(request_and_run(sim, scheduler, ops, t_request=warmup, t_end=t_max))
+    return results
+
+
 def run_delay(
     spec_builder: Callable[[], WorkflowSpec],
     scheduler,
@@ -38,15 +56,42 @@ def run_delay(
     t_max: float,
     step: float = 5.0,
 ) -> float:
-    """Warm up, request the reconfiguration, run until it completes (or
-    ``t_max``), return the delay in milliseconds (inf if not completed).
-
-    The simulator records nothing, so :func:`run_reconfig_experiment`
-    stops it at the completing apply. ``step`` is unused; it stays for
+    """The delay in milliseconds of one request by :func:`delays` (inf if
+    it does not complete by ``t_max``). ``step`` is unused; it stays for
     existing callers."""
-    sim = Simulator(spec_builder(), record="none")
-    r = run_reconfig_experiment(sim, scheduler, reconfig_ops, t_request=warmup, t_end=t_max)
-    return r.delay * 1000.0 if r.completed else math.inf
+    [r] = delays(spec_builder, [(scheduler, reconfig_ops)], warmup=warmup, t_max=t_max)
+    return r.delay * 1000.0
+
+
+def _pairs(build, paper: list[tuple], make_a, make_b, *, warmup: float, t_max: float) -> list[tuple]:
+    """Per row of ``paper``, whose first field is a reconfiguration set:
+    ``(scheduler a, its delay ms, scheduler b, its delay ms)``, every
+    request made on one warmed run (:func:`delays`). Each scheduler keeps
+    the plan it ran."""
+    requests = [(make(), set(row[0])) for row in paper for make in (make_a, make_b)]
+    results = delays(build, requests, warmup=warmup, t_max=t_max)
+    measured = [(s, r.delay * 1000.0) for (s, _), r in zip(requests, results)]
+    return [(*a, *b) for a, b in zip(measured[::2], measured[1::2])]
+
+
+def _fries_vs_epoch(build, paper: list[tuple], *, warmup: float, t_max: float) -> list[dict]:
+    """Table 4 and 5 rows, one per ``(ops, paper MCS, paper longest path,
+    paper Fries ms, paper Epoch ms)`` in ``paper``, measured on ``build``."""
+    measured = _pairs(build, paper, FriesScheduler, EpochScheduler, warmup=warmup, t_max=t_max)
+    return [
+        {
+            "reconfig_ops": ", ".join(ops),
+            "mcs": mcs_desc(fries.plan),
+            "longest_path": fries.plan.longest_path,
+            "fries_ms": f,
+            "epoch_ms": e,
+            "paper_mcs": p_mcs,
+            "paper_longest_path": p_len,
+            "paper_fries_ms": p_fries,
+            "paper_epoch_ms": p_epoch,
+        }
+        for (ops, p_mcs, p_len, p_fries, p_epoch), (fries, f, _, e) in zip(paper, measured)
+    ]
 
 
 def plan_of(spec: WorkflowSpec, reconfig_ops: set[str], *, prune: bool = True) -> ReconfigPlan:
@@ -94,33 +139,16 @@ def table4_rows(
     """Reproduce Table 4: delay of Fries vs Epoch for reconfiguration sets
     in W2 and W3 (dataset-3 analogue). The join selectivities default to
     the recorded ``defs.W2_SELECTIVITY``/``W3_SELECTIVITY``."""
-    rows = []
     builders = {
         "W2": lambda: defs.w2(parallelism=parallelism, rate=rate, selectivity=w2_selectivity),
         "W3": lambda: defs.w3(parallelism=parallelism, rate=rate * 0.75, selectivity=w3_selectivity),
     }
-    for wf, ops, p_mcs, p_len, p_fries, p_epoch in PAPER_TABLE4:
-        build = builders[wf]
-        plan = plan_of(build(), set(ops))
-        fries = run_delay(build, FriesScheduler(), set(ops),
-                          warmup=TABLE4_WARMUP, t_max=TABLE4_T_MAX)
-        epoch = run_delay(build, EpochScheduler(), set(ops),
-                          warmup=TABLE4_WARMUP, t_max=TABLE4_T_MAX)
-        rows.append(
-            {
-                "workflow": wf,
-                "reconfig_ops": ", ".join(ops),
-                "mcs": mcs_desc(plan),
-                "longest_path": plan.longest_path,
-                "fries_ms": fries,
-                "epoch_ms": epoch,
-                "paper_mcs": p_mcs,
-                "paper_longest_path": p_len,
-                "paper_fries_ms": p_fries,
-                "paper_epoch_ms": p_epoch,
-            }
-        )
-    return rows
+    return [
+        {"workflow": wf, **row}
+        for wf, build in builders.items()
+        for row in _fries_vs_epoch(build, [r[1:] for r in PAPER_TABLE4 if r[0] == wf],
+                                   warmup=TABLE4_WARMUP, t_max=TABLE4_T_MAX)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -139,31 +167,8 @@ def table5_rows(*, parallelism: int = 4, fanout: int = 12) -> list[dict]:
     """Reproduce Table 5: delays in W4 (dataset-2 analogue) at its default
     rate; FD1/FD2 are the slow inference operators, U2 the one-to-many
     unnest."""
-    rows = []
-
-    def build() -> WorkflowSpec:
-        return defs.w4(parallelism=parallelism, fanout=fanout)
-
-    for ops, p_mcs, p_len, p_fries, p_epoch in PAPER_TABLE5:
-        plan = plan_of(build(), set(ops))
-        fries = run_delay(build, FriesScheduler(), set(ops),
-                          warmup=TABLE5_WARMUP, t_max=TABLE5_T_MAX)
-        epoch = run_delay(build, EpochScheduler(), set(ops),
-                          warmup=TABLE5_WARMUP, t_max=TABLE5_T_MAX)
-        rows.append(
-            {
-                "reconfig_ops": ", ".join(ops),
-                "mcs": mcs_desc(plan),
-                "longest_path": plan.longest_path,
-                "fries_ms": fries,
-                "epoch_ms": epoch,
-                "paper_mcs": p_mcs,
-                "paper_longest_path": p_len,
-                "paper_fries_ms": p_fries,
-                "paper_epoch_ms": p_epoch,
-            }
-        )
-    return rows
+    return _fries_vs_epoch(lambda: defs.w4(parallelism=parallelism, fanout=fanout), PAPER_TABLE5,
+                           warmup=TABLE5_WARMUP, t_max=TABLE5_T_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -183,29 +188,23 @@ TABLE6_WARMUP, TABLE6_T_MAX = 60.0, 2000.0
 def table6_rows() -> list[dict]:
     """Reproduce Table 6: the effect of §6.3 MCS pruning in W5 (the
     default ``defs.w5()`` spec)."""
-    rows = []
-    build = defs.w5
-    for ops, p_mcs_p, p_mcs_np, p_fries_p, p_fries_np in PAPER_TABLE6:
-        plan_p = plan_of(build(), set(ops), prune=True)
-        plan_np = plan_of(build(), set(ops), prune=False)
-        d_p = run_delay(build, FriesScheduler(prune=True), set(ops),
-                        warmup=TABLE6_WARMUP, t_max=TABLE6_T_MAX)
-        d_np = run_delay(build, FriesScheduler(prune=False), set(ops),
-                         warmup=TABLE6_WARMUP, t_max=TABLE6_T_MAX)
-        rows.append(
-            {
-                "reconfig_ops": ", ".join(ops),
-                "mcs_pruned": mcs_desc(plan_p),
-                "mcs_unpruned": mcs_desc(plan_np),
-                "pruned_ms": d_p,
-                "unpruned_ms": d_np,
-                "paper_mcs_pruned": p_mcs_p,
-                "paper_mcs_unpruned": p_mcs_np,
-                "paper_pruned_ms": p_fries_p,
-                "paper_unpruned_ms": p_fries_np,
-            }
-        )
-    return rows
+    measured = _pairs(defs.w5, PAPER_TABLE6, FriesScheduler, lambda: FriesScheduler(prune=False),
+                      warmup=TABLE6_WARMUP, t_max=TABLE6_T_MAX)
+    return [
+        {
+            "reconfig_ops": ", ".join(ops),
+            "mcs_pruned": mcs_desc(pruned.plan),
+            "mcs_unpruned": mcs_desc(unpruned.plan),
+            "pruned_ms": d_p,
+            "unpruned_ms": d_np,
+            "paper_mcs_pruned": p_mcs_p,
+            "paper_mcs_unpruned": p_mcs_np,
+            "paper_pruned_ms": p_fries_p,
+            "paper_unpruned_ms": p_fries_np,
+        }
+        for (ops, p_mcs_p, p_mcs_np, p_fries_p, p_fries_np), (pruned, d_p, unpruned, d_np)
+        in zip(PAPER_TABLE6, measured)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,11 @@
 LSTM auto-encoder [38] and its cheap hot-swap replacements."""
 from .autoencoder import RecurrentAutoencoder
 from .decision_tree import DecisionTree
-from .fraud import FraudOperator, rolling_windows, score_partition
+from .fraud import rolling_windows, score_partition
 
 __all__ = [
     "RecurrentAutoencoder",
     "DecisionTree",
-    "FraudOperator",
     "rolling_windows",
     "score_partition",
 ]

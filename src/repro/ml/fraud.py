@@ -1,18 +1,11 @@
-"""Fraud-detection operator logic (§2.1's FC/FM, §8's FD/FD1/FD2).
-
-``FraudOperator`` keeps the last-``window`` payment amounts per key (user
-or merchant) and scores each incoming payment with its current model; it is
-the computation-function object that a reconfiguration swaps
-(``reconfigure``), including the §2.2 state transformation when the window
-size changes (old amounts kept, padded with zeros — the paper pads with
-nulls).
+"""Fraud-detection operator logic (§2.1's FC/FM, §8's FD/FD1/FD2): each
+payment is scored by the current model over the last ``window`` payment
+amounts of its key (user or merchant).
 
 ``score_partition`` is the Spark-side batch form used by
 ``repro.workflows.spark_queries`` inside ``applyInPandas``.
 """
 from __future__ import annotations
-
-from collections import defaultdict, deque
 
 import numpy as np
 import pandas as pd
@@ -23,39 +16,10 @@ from .decision_tree import DecisionTree
 Model = RecurrentAutoencoder | DecisionTree
 
 
-class FraudOperator:
-    """Stateful per-key fraud scorer with hot-swappable model."""
-
-    def __init__(self, model: Model, window: int = 10) -> None:
-        self.model = model
-        self.window = window
-        self.state: dict[object, deque] = defaultdict(lambda: deque(maxlen=self.window))
-
-    def process(self, key: object, amount: float) -> float:
-        q = self.state[key]
-        q.append(float(amount))
-        return self.model.score(np.array(q))
-
-    def reconfigure(self, model: Model, window: int | None = None) -> None:
-        """Apply ⟨f', 𝒯⟩: swap the model; if the window grows, transform
-        each key's state by left-padding with zeros (§2.2's null padding)."""
-        self.model = model
-        if window is not None and window != self.window:
-            old = self.window
-            self.window = window
-            new_state: dict[object, deque] = {}
-            for k, q in self.state.items():
-                vals = list(q)
-                if window > old:
-                    vals = [0.0] * (window - len(vals)) + vals
-                new_state[k] = deque(vals[-window:], maxlen=window)
-            self.state = defaultdict(lambda: deque(maxlen=self.window), new_state)
-
-
 def rolling_windows(amounts: pd.Series, window: int) -> np.ndarray:
     """(n, window) matrix: row i = the last ``window`` amounts up to and
-    including amount i, zero-padded on the left — the operator's state as
-    seen when each tuple is processed."""
+    including amount i, zero-padded on the left — the key's state as seen
+    when each tuple is processed."""
     x = amounts.to_numpy(dtype=np.float64)
     n = x.size
     padded = np.concatenate([np.zeros(window - 1), x])
@@ -66,8 +30,8 @@ def score_partition(pdf: pd.DataFrame, model: Model, *, window: int,
                     key_col: str, amount_col: str, order_col: str,
                     out_col: str = "score") -> pd.DataFrame:
     """Score every payment of one key group, in ``order_col`` order, using
-    the per-key last-``window`` state — the batch equivalent of feeding the
-    stream through :class:`FraudOperator`."""
+    the per-key last-``window`` state, as a stream operator would score
+    them one at a time."""
     pdf = pdf.sort_values(order_col, kind="mergesort")
     out = pdf.copy()
     scores = np.empty(len(pdf))

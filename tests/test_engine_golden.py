@@ -6,7 +6,6 @@ If a change alters a run on purpose, print the new values with
 ``PYTHONPATH=src python -m tests.test_engine_golden`` and say which
 entries moved and why.
 """
-import copy
 import hashlib
 import random
 
@@ -21,6 +20,9 @@ from repro.engine import (
     SavepointScheduler,
     Simulator,
 )
+from repro.engine.schedulers import request_and_run
+from repro.experiments import run_delay
+from repro.workflows import defs
 
 from .test_engine_schedulers import _random_chain_spec
 from .test_faults import run_scenario
@@ -196,14 +198,29 @@ def test_golden_fingerprint(key):
 @pytest.mark.parametrize("action", ACTIONS)
 @pytest.mark.parametrize("seed", [0, 7])
 def test_fork_of_warmed_run_is_golden(action, seed):
-    """A deep copy of a simulator warmed up to its request time runs the
-    golden run, and so does the original after it: the two share no
-    state. An empty channel holds the shared empty tuple, in the copy too."""
+    """A fork of a simulator warmed up to its request time runs the golden
+    run, and so does the original after it: the two share no state. An
+    empty channel holds the shared empty tuple, in the fork too."""
     sim, ops, t = warmed_chain(seed)
-    fork = copy.deepcopy(sim)
+    fork = sim.fork()
     assert any(type(ch.queue) is tuple for ch in fork.channels)
     assert fingerprint(finish_chain(sim, action, ops, t)) == GOLDEN[f"{action}-{seed}"]
     assert fingerprint(finish_chain(fork, action, ops, t)) == GOLDEN[f"{action}-{seed}"]
+
+
+def test_fork_of_warmed_run_is_golden_at_p40():
+    """W2 at the paper's p=40 (6 440 channels), warmed 2 s, forks at the
+    default recursion limit, and a request on the fork has the delay of a
+    fresh run. A copy that follows worker → channel → worker links
+    recurses once per hop and overflows here."""
+    build = lambda: defs.w2(parallelism=40)  # noqa: E731
+    sim = Simulator(build(), record="none")
+    sim.start()
+    sim.run(until=2.0)
+    for make, ops in ((FriesScheduler, {"J1"}), (EpochScheduler, {"J1", "J4"})):
+        r = request_and_run(sim.fork(), make(), ops, t_request=2.0, t_end=60.0)
+        assert r.completed
+        assert r.delay * 1000.0 == run_delay(build, make(), ops, warmup=2.0, t_max=60.0)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from repro.engine.schedulers import (
 from repro.experiments import (
     PAPER_TABLE4,
     PAPER_TABLE7,
+    delays,
     format_table,
     mcs_desc,
     plan_of,
@@ -52,7 +53,35 @@ class TestRunDelay:
         build = lambda: defs.w2(parallelism=2, rate=2000)
         f = run_delay(build, FriesScheduler(), {"J1"}, warmup=2.0, t_max=60.0)
         e = run_delay(build, EpochScheduler(), {"J1"}, warmup=2.0, t_max=60.0)
+        assert math.isfinite(f) and math.isfinite(e)
         assert f <= e
+
+
+class TestDelays:
+    def test_equals_run_delay_per_request(self):
+        """Requests on forks of one warmed run, and the last on the run
+        itself, give each request's fresh ``run_delay`` to the bit."""
+        build = lambda: defs.w2(parallelism=2, rate=2000)
+        requests = [
+            (FriesScheduler, {"J1"}),
+            (EpochScheduler, {"J1"}),
+            (FriesScheduler, {"J1", "J4"}),
+            (NaiveFCMScheduler, {"J3"}),
+            (SavepointScheduler, {"J4"}),
+        ]
+        results = delays(build, [(make(), ops) for make, ops in requests], warmup=2.0, t_max=60.0)
+        assert all(r.completed for r in results)
+        assert [r.delay * 1000.0 for r in results] == [
+            run_delay(build, make(), ops, warmup=2.0, t_max=60.0) for make, ops in requests
+        ]
+
+    def test_run_delay_forks_nothing(self, monkeypatch):
+        def no_fork(sim):
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(Simulator, "fork", no_fork)
+        build = lambda: defs.w2(parallelism=2, rate=2000)
+        assert 0 < run_delay(build, FriesScheduler(), {"J1"}, warmup=2.0, t_max=60.0) < 60_000
 
 
 # (builder, reconfiguration set, warm-up, t_max) at small p: W2's cheap

@@ -1,10 +1,9 @@
-"""Tests for the ML substrate (auto-encoder, decision tree, fraud operator)."""
+"""Tests for the ML substrate (auto-encoder, decision tree, rolling windows)."""
 import numpy as np
 import pytest
 
 from repro.ml import (
     DecisionTree,
-    FraudOperator,
     RecurrentAutoencoder,
     rolling_windows,
 )
@@ -72,50 +71,6 @@ class TestDecisionTree:
     def test_score_bounded(self):
         t = DecisionTree()
         assert t.score(np.full(10, 1e9)) <= 0.95
-
-
-class TestFraudOperator:
-    def test_stateful_window(self):
-        op = FraudOperator(RecurrentAutoencoder(window=3, hidden=4), window=3)
-        for amt in (1.0, 2.0, 3.0, 4.0):
-            op.process("u1", amt)
-        assert list(op.state["u1"]) == [2.0, 3.0, 4.0]
-
-    def test_per_key_isolation(self):
-        op = FraudOperator(DecisionTree(), window=3)
-        op.process("a", 1.0)
-        op.process("b", 2.0)
-        assert list(op.state["a"]) == [1.0]
-        assert list(op.state["b"]) == [2.0]
-
-    def test_reconfigure_swaps_model(self):
-        op = FraudOperator(RecurrentAutoencoder(window=3, hidden=4), window=3)
-        op.process("u", 5.0)
-        op.reconfigure(DecisionTree())
-        assert isinstance(op.model, DecisionTree)
-        assert list(op.state["u"]) == [5.0]  # state survives the swap
-
-    def test_reconfigure_grows_window_with_padding(self):
-        """§2.2's state transformation: old 5-window → new 10-window filled
-        with zero padding (the paper pads with nulls)."""
-        op = FraudOperator(DecisionTree(), window=3)
-        for amt in (1.0, 2.0, 3.0):
-            op.process("u", amt)
-        op.reconfigure(DecisionTree(), window=6)
-        assert list(op.state["u"]) == [0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
-
-    def test_reconfigure_shrinks_window(self):
-        op = FraudOperator(DecisionTree(), window=4)
-        for amt in (1.0, 2.0, 3.0, 4.0):
-            op.process("u", amt)
-        op.reconfigure(DecisionTree(), window=2)
-        assert list(op.state["u"]) == [3.0, 4.0]
-
-    def test_new_key_after_window_change(self):
-        op = FraudOperator(DecisionTree(), window=2)
-        op.reconfigure(DecisionTree(), window=5)
-        op.process("fresh", 1.0)
-        assert op.state["fresh"].maxlen == 5
 
 
 class TestRollingWindows:
