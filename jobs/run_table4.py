@@ -6,10 +6,14 @@ With ``--profile`` the W2/W3 Spark pipelines are first profiled over
 ``synth_data.tpcds_lite`` at the given scale factor and the measured join
 selectivities are fed into the engine simulator; otherwise the recorded
 defaults in ``repro.workflows.defs`` (measured the same way) are used.
+The job exits with status 1 if a request does not complete by
+``TABLE4_T_MAX``.
 """
 import argparse
 
-from repro.experiments import format_table, table4_rows
+from _session import exit_if_unfinished
+
+from repro.experiments import TABLE4_T_MAX, format_table, table4_rows
 
 
 def main() -> None:
@@ -42,6 +46,7 @@ def main() -> None:
         parallelism=args.parallelism, rate=args.rate, w2_selectivity=w2_sel, w3_selectivity=w3_sel
     )
     print(format_table(rows, "Table 4 — reconfiguration delay in W2/W3 (ms, simulated)"))
+    exit_if_unfinished(rows, ("fries_ms", "epoch_ms"), "TABLE4_T_MAX", TABLE4_T_MAX)
 
 
 if __name__ == "__main__":

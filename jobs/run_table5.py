@@ -7,10 +7,14 @@ With ``--sf`` the unnest fan-out is profiled over
 its mean, payments per user, parameterises the simulator. ``synth_data``
 fixes 120 payments per user at every SF, so a profiled run simulates a
 different W4 from the committed ``benchmarks/out/table5.txt`` (fan-out 12).
+The job exits with status 1 if a request does not complete by
+``TABLE5_T_MAX``, as some do at a profiled fan-out of 120.
 """
 import argparse
 
-from repro.experiments import format_table, table5_rows
+from _session import exit_if_unfinished
+
+from repro.experiments import TABLE5_T_MAX, format_table, table5_rows
 
 
 def main() -> None:
@@ -36,6 +40,7 @@ def main() -> None:
 
     rows = table5_rows(parallelism=args.parallelism, fanout=fanout)
     print(format_table(rows, "Table 5 — delays in W4 with one-to-many U2 (ms, simulated)"))
+    exit_if_unfinished(rows, ("fries_ms", "epoch_ms"), "TABLE5_T_MAX", TABLE5_T_MAX)
 
 
 if __name__ == "__main__":

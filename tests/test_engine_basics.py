@@ -1,5 +1,6 @@
-"""Engine substrate tests: channels, workers, routing, backpressure, and
-the event loop's order, against reference loops and delivery paths."""
+"""Engine substrate tests: channels, workers, routing and backpressure,
+and the event loop's order, against one plain reference engine that has
+none of the loop's optimisations."""
 import heapq
 import importlib.util
 import math
@@ -16,13 +17,11 @@ from repro.core.dag import DAG
 from repro.core.transactions import UPDATE_TXN, Schedule, UpdateOp
 from repro.engine import (
     Channel,
-    CheckpointCoordinator,
     DataMsg,
     EpochScheduler,
     FriesScheduler,
     KeyDist,
     MultiVersionScheduler,
-    NaiveFCMScheduler,
     OpSpec,
     Simulator,
     Worker,
@@ -32,8 +31,8 @@ from repro.engine import simulator as simulator_module
 from repro.engine.workload import EdgeSpec
 from repro.workflows import defs
 
-from .test_engine_golden import chain_run
-from .test_engine_schedulers import _random_chain_spec, fig8_spec
+from .test_engine_golden import chain_run, finish_chain, warmed_chain
+from .test_engine_schedulers import _random_chain_spec, branching_spec, fig8_spec, random_branching
 from .test_experiments import HALT_CASES
 
 
@@ -310,24 +309,6 @@ class TestParallelRouting:
         assert len(sim.sink_log) == 200  # each tuple processed by all 4 workers
 
 
-def _random_run(cls, seed: int, marker: str) -> Simulator:
-    """One of 12 random pipelines (``seed``), recorded, with a Fries, EBR or
-    NaiveFCM request or a checkpoint at a random time, run to the end."""
-    rng = random.Random(seed)
-    spec, names = _random_chain_spec(rng)
-    ops = set(rng.sample(names, rng.randint(1, 2)))
-    t = rng.uniform(0.05, 0.3)
-    sim = cls(spec)
-    sim.start()
-    sim.run(until=t)
-    if marker == "checkpoint":
-        CheckpointCoordinator(sim).start_checkpoint(t)
-    else:
-        {"fries": FriesScheduler, "ebr": EpochScheduler, "naive": NaiveFCMScheduler}[marker]().request(sim, ops, t)
-    sim.run()
-    return sim
-
-
 class TestReadyHeap:
     def test_next_channel_is_brute_force_minimum(self, monkeypatch):
         """Every dispatch picks, from the worker's ready heap, exactly the
@@ -351,35 +332,9 @@ class TestReadyHeap:
         monkeypatch.setattr(Worker, "_next_channel", checked)
         for seed in range(12):
             for marker in ("fries", "ebr", "checkpoint"):
-                _random_run(Simulator, seed, marker)
+                chain_run(marker, seed)
         assert seen["dispatches"] > 10_000
         assert seen["queued_behind_block"] > 0
-
-
-class HeapOnlySimulator(Simulator):
-    """Reference event loop without the same-time lane: every event goes
-    through the heap and runs in ``(t, scheduling order)``."""
-
-    def schedule(self, t, fn, *args):
-        self._evseq += 1
-        heapq.heappush(self._heap, (t, self._evseq, fn, args))
-
-    def run(self, until=None, max_events=50_000_000, *, halt_on_apply=None):
-        until = math.inf if until is None else until
-        heap = self._heap
-        self._halt_on_apply, self._halted = halt_on_apply, False
-        n = 0
-        while heap and not self._halted:
-            t, _, fn, args = heap[0]
-            if t > until:
-                self.now = until
-                return
-            heapq.heappop(heap)
-            self.now = t
-            fn(*args)
-            n += 1
-            if n >= max_events:
-                raise RuntimeError("simulation exceeded max_events")
 
 
 class DeliveryChannel(Channel):
@@ -423,15 +378,47 @@ class DeliveryChannel(Channel):
         return msg
 
 
-class DeliverySimulator(Simulator):
-    """The simulator over :class:`DeliveryChannel`: every queued message has
-    arrived, so the workers never arm a wake."""
+class SchedulingWorker(Worker):
+    """Reference worker: a ``notify`` that ends an event always schedules
+    the dispatch, even when it would run next."""
+
+    __slots__ = ()
+
+    def _resume(self):
+        self.notify()
+
+
+class ReferenceSimulator(Simulator):
+    """The simulator with the event loop's three optimisations off: every
+    event goes through the heap and runs in ``(t, scheduling order)``, with
+    no same-time lane; every message has a delivery event
+    (:class:`DeliveryChannel`), so the workers never arm a wake; and every
+    dispatch is a scheduled event (:class:`SchedulingWorker`)."""
 
     def __init__(self, spec, **kwargs):
         self.delivered = 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulator_module, "Channel", DeliveryChannel)
+            mp.setattr(simulator_module, "Worker", SchedulingWorker)
             super().__init__(spec, **kwargs)
+
+    def schedule(self, t, fn, *args):
+        self._evseq += 1
+        heapq.heappush(self._heap, (t, self._evseq, fn, args))
+
+    def run(self, until=None, *, halt_on_apply=None):
+        until = math.inf if until is None else until
+        heap = self._heap
+        self._halt_on_apply, self._halted = halt_on_apply, False
+        while heap and not self._halted:
+            t, _, fn, args = heap[0]
+            if t > until:
+                self.now = until
+                return
+            heapq.heappop(heap)
+            self.now = t
+            fn(*args)
+            self._events += 1
 
 
 def _observed(sim: Simulator):
@@ -443,6 +430,14 @@ def _observed(sim: Simulator):
         {name: w.processed for name, w in sim.workers.items()},
         sim.now,
     )
+
+
+def _assert_matches(sim: Simulator, ref: ReferenceSimulator, case) -> None:
+    """Every observable log of ``sim`` equals the reference's, in strictly
+    fewer loop events. ``_evseq`` is not compared: the reference takes a
+    key for every delivery. The golden fingerprints check it."""
+    assert _observed(sim) == _observed(ref), case
+    assert not ref._lane and sim.events < ref.events, case
 
 
 def _halt_case_run(cls, wf: str, make, halted: bool, monkeypatch) -> tuple[Simulator, float]:
@@ -469,25 +464,85 @@ def _halt_case_run(cls, wf: str, make, halted: bool, monkeypatch) -> tuple[Simul
     return sim, scheduler.result(sim, warmup).delay
 
 
-class TestSameTimeLane:
-    @pytest.mark.parametrize("marker", ["fries", "ebr", "checkpoint", "naive"])
-    def test_random_specs_match_heap_only_loop(self, marker):
-        """Zero-delay events through the lane run in the same order as
-        through the heap: every observable log is identical."""
-        for seed in range(12):
-            ref = _random_run(HeapOnlySimulator, seed, marker)
-            sim = _random_run(Simulator, seed, marker)
-            assert _observed(sim) == _observed(ref), seed
-            assert not ref._lane
+def _warmed(cls, spec: WorkflowSpec, ops: set[str], t: float) -> tuple[Simulator, set[str], float]:
+    sim = cls(spec)
+    sim.start()
+    sim.run(until=t)
+    return sim, ops, t
+
+
+def _warmed_stress(seed: int, cls=Simulator) -> tuple[Simulator, set[str], float]:
+    """A random pipeline plus a second source feeding its last middle
+    operator, whose inputs thus may differ in latency. About half the
+    middle operators cost nothing, so a sender finishes in the same instant
+    as the pop that frees its room; channels have latency 0.001 or 0.003
+    and capacity 3 or 100. Run up to a random request time."""
+    rng = random.Random(seed)
+    chain, names = _random_chain_spec(rng)
+    ops = dict(chain.ops, src2=OpSpec("src2", kind="source", rate=rng.choice([200, 500]),
+                                      n_tuples=150, key_dist=KeyDist.uniform(30)))
+    dag = DAG.from_edges(chain.dag.edges + [("src2", names[-1])])
+    spec = WorkflowSpec(dag=dag, ops=ops, edges=dict(chain.edges), seed=chain.seed)
+    for name in names:
+        if rng.random() < 0.5:
+            ops[name].cost = {1: 0.0}
+    for edge in spec.edges.values():
+        edge.latency = rng.choice([0.001, 0.003])
+        edge.capacity = rng.choice([3, 100])
+    reconfig_ops = set(rng.sample(names, rng.randint(1, 2)))
+    return _warmed(cls, spec, reconfig_ops, rng.uniform(0.05, 0.3))
+
+
+def _warmed_branching(seed: int, cls=Simulator) -> tuple[Simulator, set[str], float]:
+    """A random branching DAG (replicate and self-join, split and union, a
+    second source, broadcast edges) run up to its request time."""
+    case = random_branching(random.Random(seed))
+    return _warmed(cls, branching_spec(case), set(case.targets), case.t)
+
+
+# Spec families: how to build and warm up seed i, and how many seeds.
+FAMILIES = {"chain": (warmed_chain, 12), "branching": (_warmed_branching, 12),
+            "stress": (_warmed_stress, 40)}
+ACTIONS = ("fries", "ebr", "checkpoint", "naive")
+
+
+def _family_run(family: str, seed: int, action: str, cls=Simulator) -> Simulator:
+    """Seed ``seed`` of ``family``, warmed by ``cls``, with ``action`` at its
+    request time, run to the end."""
+    sim, ops, t = FAMILIES[family][0](seed, cls)
+    return finish_chain(sim, action, ops, t)
+
+
+class TestReferenceEngine:
+    """The event loop's three optimisations (the same-time lane, data
+    arrivals without events, dispatch in place) keep every run's order:
+    each random chain, branching and stress spec under each action, and
+    the W2/W4 halted and ``t_max`` runs, match :class:`ReferenceSimulator`
+    in fewer events."""
+
+    @pytest.mark.parametrize("family,action", [
+        *((family, action) for family in ("chain", "branching") for action in ACTIONS),
+        ("stress", "fries"), ("stress", "ebr"),
+    ])
+    def test_random_specs_match_reference(self, family, action):
+        for seed in range(FAMILIES[family][1]):
+            ref = _family_run(family, seed, action, ReferenceSimulator)
+            sim = _family_run(family, seed, action)
+            _assert_matches(sim, ref, seed)
 
     @pytest.mark.parametrize("halted", [True, False], ids=["run_delay", "t_max"])
     @pytest.mark.parametrize("wf", sorted(HALT_CASES))
-    def test_workflows_match_heap_only_loop(self, wf, halted, monkeypatch):
+    def test_workflows_match_reference(self, wf, halted, monkeypatch):
         for make in (FriesScheduler, EpochScheduler):
-            ref, ref_delay = _halt_case_run(HeapOnlySimulator, wf, make, halted, monkeypatch)
+            ref, ref_delay = _halt_case_run(ReferenceSimulator, wf, make, halted, monkeypatch)
             sim, delay = _halt_case_run(Simulator, wf, make, halted, monkeypatch)
             assert delay == ref_delay and math.isfinite(delay)
-            assert _observed(sim) == _observed(ref)
+            _assert_matches(sim, ref, make)
+
+
+class TestSameTimeLane:
+    """The lane's accounting and guards; its order is checked by
+    :class:`TestReferenceEngine`."""
 
     def test_event_accounting(self, monkeypatch):
         """``events`` is the number of callbacks the loop executed, on a
@@ -545,64 +600,9 @@ class TestSameTimeLane:
         assert sim.now > 0.02
 
 
-def _stress_run(cls, seed: int, make) -> Simulator:
-    """A random pipeline plus a second source feeding its last middle
-    operator, whose inputs thus may differ in latency. About half the
-    middle operators cost nothing, so a sender finishes in the same instant
-    as the pop that frees its room; channels have latency 0.001 or 0.003
-    and capacity 3 or 100. A request from ``make`` at a random time, run
-    to the end."""
-    rng = random.Random(seed)
-    chain, names = _random_chain_spec(rng)
-    ops = dict(chain.ops, src2=OpSpec("src2", kind="source", rate=rng.choice([200, 500]),
-                                      n_tuples=150, key_dist=KeyDist.uniform(30)))
-    dag = DAG.from_edges(chain.dag.edges + [("src2", names[-1])])
-    spec = WorkflowSpec(dag=dag, ops=ops, edges=dict(chain.edges), seed=chain.seed)
-    for name in names:
-        if rng.random() < 0.5:
-            ops[name].cost = {1: 0.0}
-    for edge in spec.edges.values():
-        edge.latency = rng.choice([0.001, 0.003])
-        edge.capacity = rng.choice([3, 100])
-    reconfig_ops = set(rng.sample(names, rng.randint(1, 2)))
-    t = rng.uniform(0.05, 0.3)
-    sim = cls(spec)
-    sim.start()
-    sim.run(until=t)
-    make().request(sim, reconfig_ops, t)
-    sim.run()
-    return sim
-
-
 class TestArrivalsWithoutEvents:
-    """Data messages carry their arrival key and have no delivery event,
-    only an idle worker gets a wake, and only a sender that is or may soon
-    be waiting gets a freed notice. Every run matches the reference
-    delivery path, which has an event for each of these."""
-
-    @pytest.mark.parametrize("marker", ["fries", "ebr", "checkpoint", "naive"])
-    def test_random_specs_match_delivery_path(self, marker):
-        for seed in range(12):
-            ref = _random_run(DeliverySimulator, seed, marker)
-            sim = _random_run(Simulator, seed, marker)
-            assert _observed(sim) == _observed(ref), seed
-            assert sim.events < ref.events
-
-    @pytest.mark.parametrize("make", [FriesScheduler, EpochScheduler], ids=["fries", "ebr"])
-    def test_stress_specs_match_delivery_path(self, make):
-        for seed in range(40):
-            ref = _stress_run(DeliverySimulator, seed, make)
-            sim = _stress_run(Simulator, seed, make)
-            assert _observed(sim) == _observed(ref), seed
-
-    @pytest.mark.parametrize("halted", [True, False], ids=["run_delay", "t_max"])
-    @pytest.mark.parametrize("wf", sorted(HALT_CASES))
-    def test_workflows_match_delivery_path(self, wf, halted, monkeypatch):
-        for make in (FriesScheduler, EpochScheduler):
-            ref, ref_delay = _halt_case_run(DeliverySimulator, wf, make, halted, monkeypatch)
-            sim, delay = _halt_case_run(Simulator, wf, make, halted, monkeypatch)
-            assert delay == ref_delay and math.isfinite(delay)
-            assert _observed(sim) == _observed(ref)
+    """Arrival keys are exact only if nothing sent at ``now`` arrives at
+    ``now``."""
 
     @pytest.mark.parametrize("latency", [0.0, -0.001, math.nan])
     def test_nonpositive_latency_rejected(self, latency):
@@ -613,62 +613,7 @@ class TestArrivalsWithoutEvents:
             Simulator(spec)
 
 
-class SchedulingWorker(Worker):
-    """Reference worker: a ``notify`` that ends an event always schedules
-    the dispatch, even when it would run next."""
-
-    __slots__ = ()
-
-    def _resume(self):
-        self.notify()
-
-
-class SchedulingSimulator(Simulator):
-    """The simulator over :class:`SchedulingWorker`: every dispatch is a
-    loop event."""
-
-    def __init__(self, spec, **kwargs):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator_module, "Worker", SchedulingWorker)
-            super().__init__(spec, **kwargs)
-
-
 class TestInPlaceDispatch:
-    """A dispatch that is certain to run next (empty same-time lane, no
-    heap event due at ``now``) runs in place at the end of the event that
-    would schedule it, and still takes its ordering key. Every run matches
-    the reference that schedules it, ``_evseq`` included."""
-
-    @pytest.mark.parametrize("marker", ["fries", "ebr", "checkpoint", "naive"])
-    def test_random_specs_match_scheduled_dispatch(self, marker):
-        for seed in range(12):
-            ref = _random_run(SchedulingSimulator, seed, marker)
-            sim = _random_run(Simulator, seed, marker)
-            assert _observed(sim) == _observed(ref), seed
-            assert sim._evseq == ref._evseq, seed
-            assert sim.events < ref.events, seed
-
-    @pytest.mark.parametrize("make", [FriesScheduler, EpochScheduler], ids=["fries", "ebr"])
-    def test_stress_specs_match_scheduled_dispatch(self, make):
-        for seed in range(40):
-            ref = _stress_run(SchedulingSimulator, seed, make)
-            sim = _stress_run(Simulator, seed, make)
-            assert _observed(sim) == _observed(ref), seed
-            assert sim._evseq == ref._evseq, seed
-
-    @pytest.mark.parametrize("halted", [True, False], ids=["run_delay", "t_max"])
-    @pytest.mark.parametrize("wf", sorted(HALT_CASES))
-    def test_workflows_match_scheduled_dispatch(self, wf, halted, monkeypatch):
-        for make in (FriesScheduler, EpochScheduler):
-            ref, ref_delay = _halt_case_run(SchedulingSimulator, wf, make, halted, monkeypatch)
-            sim, delay = _halt_case_run(Simulator, wf, make, halted, monkeypatch)
-            assert delay == ref_delay and math.isfinite(delay)
-            assert _observed(sim) == _observed(ref)
-            assert sim._evseq == ref._evseq
-            assert sim.events <= ref.events
-            if wf == "W4":
-                assert sim.events < ref.events
-
     def test_zero_cost_backlog(self):
         """A zero-cost sink drains a 10 000-tuple backlog, one finish event
         per tuple with the next dispatch in place, without recursing."""
@@ -681,14 +626,14 @@ class TestInPlaceDispatch:
         }
         edges = {("J", "sink"): EdgeSpec("hash", capacity=n)}
         runs = []
-        for cls in (SchedulingSimulator, Simulator):
+        for cls in (ReferenceSimulator, Simulator):
             sim = cls(WorkflowSpec(dag=dag, ops=ops, edges=edges))
             sim.start()
             sim.run()
             runs.append(sim)
         ref, sim = runs
         assert len(sim.sink_log) == n
-        assert _observed(sim) == _observed(ref) and sim._evseq == ref._evseq
+        assert _observed(sim) == _observed(ref)
         assert sim.events <= ref.events - n
 
 
@@ -746,16 +691,15 @@ class TestSentMessagesUnwritten:
         assert popped > 10_000
         assert (tagged > 0) == (action == "multiversion")
 
-    @pytest.mark.parametrize("make", [FriesScheduler, EpochScheduler, MultiVersionScheduler],
-                             ids=["fries", "ebr", "multiversion"])
-    def test_stress_specs(self, make, monkeypatch):
+    @pytest.mark.parametrize("action", ["fries", "ebr", "multiversion"])
+    def test_stress_specs(self, action, monkeypatch):
         monkeypatch.setattr(simulator_module, "Channel", SnapshotChannel)
         popped = tagged = 0
         for seed in range(40):
-            p, t = self._counts(_stress_run(Simulator, seed, make))
+            p, t = self._counts(_family_run("stress", seed, action))
             popped, tagged = popped + p, tagged + t
         assert popped > 10_000
-        assert (tagged > 0) == (make is MultiVersionScheduler)
+        assert (tagged > 0) == (action == "multiversion")
 
     @pytest.mark.parametrize("make", [FriesScheduler, MultiVersionScheduler], ids=["fries", "multiversion"])
     def test_workflows(self, make, monkeypatch):

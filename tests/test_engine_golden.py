@@ -50,14 +50,14 @@ def fingerprint(sim: Simulator) -> str:
     return hashlib.sha1(repr(state).encode()).hexdigest()
 
 
-def warmed_chain(seed: int) -> tuple[Simulator, set[str], float]:
-    """Random pipeline ``seed`` run up to its request time ``t``, with the
-    operators ``ops`` that its action reconfigures."""
+def warmed_chain(seed: int, cls: type[Simulator] = Simulator) -> tuple[Simulator, set[str], float]:
+    """Random pipeline ``seed`` run by ``cls`` up to its request time
+    ``t``, with the operators ``ops`` that its action reconfigures."""
     rng = random.Random(seed)
     spec, names = _random_chain_spec(rng)
     ops = set(rng.sample(names, rng.randint(1, 2)))
     t = rng.uniform(0.05, 0.3)
-    sim = Simulator(spec)
+    sim = cls(spec)
     sim.start()
     sim.run(until=t)
     return sim, ops, t

@@ -42,6 +42,7 @@ class TestMarkerFIFO:
             res = run_reconfig_experiment(
                 sim, EpochScheduler(), {"A"}, t_request=0.3, t_end=100.0
             )
+            assert res.completed, cost
             delays.append(res.delay)
         assert delays[1] > 2 * delays[0]
 
@@ -106,6 +107,7 @@ class TestAlignment:
         sched = FriesScheduler(prune=True)
         res = run_reconfig_experiment(sim, sched, {"M"}, t_request=0.4, t_end=200.0)
         assert set(sched.plan.component_list[0].vertices) == {"RE", "fast", "slow", "M"}
+        assert res.completed
         assert res.delay > 0.5
 
     def test_consistency_under_alignment(self):

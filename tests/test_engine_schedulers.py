@@ -250,6 +250,7 @@ class TestEpochScheduler:
     def test_delay_grows_with_inflight(self):
         _, r1 = run(fig2_spec(fm_cost=0.01), EpochScheduler(), {"FM"})
         _, r2 = run(fig2_spec(fm_cost=0.04), EpochScheduler(), {"FM"})
+        assert r1.completed and r2.completed
         assert r2.delay > r1.delay
 
 
@@ -274,6 +275,7 @@ class TestMultiVersionScheduler:
         configuration — the delay stays epoch-like, not FCM-like."""
         _, r_mv = run(fig2_spec(), MultiVersionScheduler(), {"FM", "MC"})
         _, r_fr = run(fig2_spec(), FriesScheduler(), {"FM", "MC"})
+        assert r_mv.completed and r_fr.completed
         assert r_mv.delay > 10 * r_fr.delay
 
     def test_blocked_source_tags_at_send(self, monkeypatch):
@@ -451,29 +453,34 @@ def branching_spec(case: Branching) -> WorkflowSpec:
     )
 
 
-@st.composite
-def branchings(draw) -> Branching:
+def random_branching(rng: random.Random) -> Branching:
     """2–4 motifs; p ∈ {1, 2} per operator; hash, broadcast or (between
     equal parallelisms) forward edges; capacity 5 or 50; 1–3 targets; a
     request at 0.05–0.3 s."""
-    motifs = tuple(draw(st.lists(st.sampled_from(MOTIFS), min_size=2, max_size=4)))
+    motifs = tuple(rng.choices(MOTIFS, k=rng.randint(2, 4)))
     skeleton = branching_spec(Branching(motifs, (), 0.0))
     inner = [v for v, op in skeleton.ops.items() if op.kind not in ("source", "sink")]
-    parallelism = {v: draw(st.sampled_from([1, 2])) for v in inner}
+    parallelism = {v: rng.choice([1, 2]) for v in inner}
     strategies = {}
     for a, b in skeleton.dag.edges:
         choices = ["hash", "broadcast"]
         if parallelism.get(a, 1) == parallelism.get(b, 1):
             choices.append("forward")
-        strategies[(a, b)] = draw(st.sampled_from(choices))
+        strategies[(a, b)] = rng.choice(choices)
     return Branching(
         motifs,
-        targets=tuple(draw(st.lists(st.sampled_from(inner), min_size=1, max_size=3, unique=True))),
-        t=draw(st.floats(0.05, 0.3)),
+        targets=tuple(rng.sample(inner, rng.randint(1, min(3, len(inner))))),
+        t=rng.uniform(0.05, 0.3),
         parallelism=parallelism,
         strategies=strategies,
-        capacity=draw(st.sampled_from([5, 50])),
+        capacity=rng.choice([5, 50]),
     )
+
+
+def branchings() -> st.SearchStrategy[Branching]:
+    """:func:`random_branching` with hypothesis drawing (and shrinking)
+    every choice."""
+    return st.builds(random_branching, st.randoms(use_true_random=False))
 
 
 def run_case(case: Branching, scheduler):

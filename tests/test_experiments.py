@@ -1,7 +1,10 @@
 """Tests for the table harnesses at reduced scale (the full-scale runs are
 the benchmarks; here we check structure, monotonicity, and exactness of the
 graph-only table)."""
+import importlib.util
 import math
+import pathlib
+import sys
 
 import pytest
 
@@ -184,3 +187,31 @@ class TestFormatting:
 
     def test_format_inf(self):
         assert "inf" in format_table([{"a": math.inf}], "t")
+
+
+class TestTableJobs:
+    @pytest.mark.parametrize("table,columns", [
+        (4, ("fries_ms", "epoch_ms")),
+        (5, ("fries_ms", "epoch_ms")),
+        (6, ("pruned_ms", "unpruned_ms")),
+    ])
+    def test_unfinished_delay_exits_nonzero(self, table, columns, monkeypatch, capsys):
+        """``jobs/run_table{4,5,6}.py`` print the table, then exit with
+        status 1, naming the row and the horizon, when a delay is not
+        finite; with every delay finite they return."""
+        jobs = pathlib.Path(__file__).resolve().parents[1] / "jobs"
+        monkeypatch.syspath_prepend(str(jobs))  # the jobs import ``_session``
+        spec = importlib.util.spec_from_file_location(f"run_table{table}", jobs / f"run_table{table}.py")
+        job = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(job)
+        row = {"reconfig_ops": "F1, U2", **dict.fromkeys(columns, 69.0)}
+        monkeypatch.setattr(job, f"table{table}_rows", lambda **_: [row])
+        monkeypatch.setattr(sys, "argv", [f"run_table{table}.py"])
+        job.main()
+        row[columns[1]] = math.inf
+        with pytest.raises(SystemExit) as exit_:
+            job.main()
+        t_max = getattr(experiments, f"TABLE{table}_T_MAX")
+        assert exit_.value.code == (f"no completion by TABLE{table}_T_MAX = {t_max:g} s in "
+                                    f"F1, U2: {columns[1]} = inf")
+        assert "inf" in capsys.readouterr().out.rstrip().splitlines()[-1]  # printed before the exit
