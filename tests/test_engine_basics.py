@@ -1,6 +1,7 @@
 """Engine substrate tests: channels, workers, routing and backpressure,
 and the event loop's order, against one plain reference engine that has
 none of the loop's optimisations."""
+import functools
 import heapq
 import importlib.util
 import math
@@ -513,36 +514,60 @@ def _family_run(family: str, seed: int, action: str, cls=Simulator) -> Simulator
     return finish_chain(sim, action, ops, t)
 
 
+@functools.cache
+def _family_matches_reference(family: str, seed: int, action: str) -> None:
+    """Seed ``seed`` of ``family`` under ``action`` matches the reference.
+    Cached, so a case that several tests name runs once; a failure is not
+    cached and fails every test that names it."""
+    ref = _family_run(family, seed, action, ReferenceSimulator)
+    sim = _family_run(family, seed, action)
+    _assert_matches(sim, ref, (family, seed, action))
+
+
+def _check_family(family: str, action: str) -> None:
+    for seed in range(FAMILIES[family][1]):
+        _family_matches_reference(family, seed, action)
+
+
+@functools.cache
+def _check_workflow(case: str) -> None:
+    """A W2/W4 halt case under Fries and EBR matches the reference, with
+    equal finite delays. Cached like :func:`_family_matches_reference`."""
+    wf, end = case.split("-")
+    for make in (FriesScheduler, EpochScheduler):
+        with pytest.MonkeyPatch.context() as mp:
+            ref, ref_delay = _halt_case_run(ReferenceSimulator, wf, make, end == "run_delay", mp)
+            sim, delay = _halt_case_run(Simulator, wf, make, end == "run_delay", mp)
+        assert delay == ref_delay and math.isfinite(delay)
+        _assert_matches(sim, ref, make)
+
+
+# The reference has all three optimisations off, so the differential tests
+# of each check the same runs; a case named by several of them runs once.
+WORKFLOW_CASES = [f"{wf}-{end}" for end in ("run_delay", "t_max") for wf in sorted(HALT_CASES)]
+
+
 class TestReferenceEngine:
-    """The event loop's three optimisations (the same-time lane, data
-    arrivals without events, dispatch in place) keep every run's order:
-    each random chain, branching and stress spec under each action, and
-    the W2/W4 halted and ``t_max`` runs, match :class:`ReferenceSimulator`
-    in fewer events."""
+    """Random branching DAGs (replicate and self-join, split and union, a
+    second source, broadcast edges) under each action match
+    :class:`ReferenceSimulator`."""
 
-    @pytest.mark.parametrize("family,action", [
-        *((family, action) for family in ("chain", "branching") for action in ACTIONS),
-        ("stress", "fries"), ("stress", "ebr"),
-    ])
-    def test_random_specs_match_reference(self, family, action):
-        for seed in range(FAMILIES[family][1]):
-            ref = _family_run(family, seed, action, ReferenceSimulator)
-            sim = _family_run(family, seed, action)
-            _assert_matches(sim, ref, seed)
-
-    @pytest.mark.parametrize("halted", [True, False], ids=["run_delay", "t_max"])
-    @pytest.mark.parametrize("wf", sorted(HALT_CASES))
-    def test_workflows_match_reference(self, wf, halted, monkeypatch):
-        for make in (FriesScheduler, EpochScheduler):
-            ref, ref_delay = _halt_case_run(ReferenceSimulator, wf, make, halted, monkeypatch)
-            sim, delay = _halt_case_run(Simulator, wf, make, halted, monkeypatch)
-            assert delay == ref_delay and math.isfinite(delay)
-            _assert_matches(sim, ref, make)
+    @pytest.mark.parametrize("action", ACTIONS)
+    def test_branching_specs_match_reference(self, action):
+        _check_family("branching", action)
 
 
 class TestSameTimeLane:
-    """The lane's accounting and guards; its order is checked by
-    :class:`TestReferenceEngine`."""
+    """Zero-delay events through the lane run in the same order as through
+    the reference's heap-only loop; and the lane's accounting and guards."""
+
+    @pytest.mark.parametrize("action", ACTIONS)
+    def test_random_specs_match_heap_only_loop(self, action):
+        _check_family("chain", action)
+
+    @pytest.mark.parametrize("case", WORKFLOW_CASES)
+    def test_workflows_match_heap_only_loop(self, case):
+        _check_workflow(case)
 
     def test_event_accounting(self, monkeypatch):
         """``events`` is the number of callbacks the loop executed, on a
@@ -601,8 +626,22 @@ class TestSameTimeLane:
 
 
 class TestArrivalsWithoutEvents:
-    """Arrival keys are exact only if nothing sent at ``now`` arrives at
-    ``now``."""
+    """Data messages have no delivery event, only an idle worker gets a
+    wake, and only a sender that is or may soon be waiting gets a freed
+    notice; every run matches the reference's delivery events. Arrival
+    keys are exact only if nothing sent at ``now`` arrives at ``now``."""
+
+    @pytest.mark.parametrize("action", ACTIONS)
+    def test_random_specs_match_delivery_path(self, action):
+        _check_family("chain", action)
+
+    @pytest.mark.parametrize("action", ["fries", "ebr"])
+    def test_stress_specs_match_delivery_path(self, action):
+        _check_family("stress", action)
+
+    @pytest.mark.parametrize("case", WORKFLOW_CASES)
+    def test_workflows_match_delivery_path(self, case):
+        _check_workflow(case)
 
     @pytest.mark.parametrize("latency", [0.0, -0.001, math.nan])
     def test_nonpositive_latency_rejected(self, latency):
@@ -614,6 +653,22 @@ class TestArrivalsWithoutEvents:
 
 
 class TestInPlaceDispatch:
+    """A dispatch certain to run next runs in place; every run matches the
+    reference, which schedules every dispatch. The goldens check
+    ``_evseq``."""
+
+    @pytest.mark.parametrize("action", ACTIONS)
+    def test_random_specs_match_scheduled_dispatch(self, action):
+        _check_family("chain", action)
+
+    @pytest.mark.parametrize("action", ["fries", "ebr"])
+    def test_stress_specs_match_scheduled_dispatch(self, action):
+        _check_family("stress", action)
+
+    @pytest.mark.parametrize("case", WORKFLOW_CASES)
+    def test_workflows_match_scheduled_dispatch(self, case):
+        _check_workflow(case)
+
     def test_zero_cost_backlog(self):
         """A zero-cost sink drains a 10 000-tuple backlog, one finish event
         per tuple with the next dispatch in place, without recursing."""
