@@ -6,7 +6,11 @@ Run from the repository root. Each pair runs the unmodified
 ``perfbench/run.py`` once in a checkout of the committed files of
 ``--parent`` (extracted with ``git archive`` into a temporary directory)
 and once in the working tree, one after the other, never at the same time;
-which side goes first alternates from pair to pair. The script prints each
+which side goes first alternates from pair to pair. Before the first pair,
+``src/`` and ``perfbench/`` of both trees are byte-compiled, so that no run
+compiles a module: an extract holds no ``.pyc`` files, and with
+``PYTHONDONTWRITEBYTECODE`` set its runs would never write any, which made
+the parent side's ``peak_rss_mb`` read higher. The script prints each
 side's median and quartiles of every end-to-end metric that
 ``BENCHMARK.json`` declares, how many pairs the change won on it, and the
 verdict on a claimed gain: met only if the change won at least 9 of every
@@ -47,6 +51,12 @@ def extract(rev: str, into: pathlib.Path) -> None:
         tar.seek(0)
         with tarfile.open(fileobj=tar) as archive:
             archive.extractall(into, filter="data")
+
+
+def compile_tree(tree: pathlib.Path) -> None:
+    """Byte-compile what a benchmark run in ``tree`` imports."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=tree, check=True, stdout=subprocess.DEVNULL)
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int) -> dict:
@@ -121,6 +131,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
         trees = {"parent": pathlib.Path(tmp), "change": ROOT}
         extract(commits["parent"], trees["parent"])
+        for tree in trees.values():
+            compile_tree(tree)
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             got = {}

@@ -16,6 +16,7 @@ of a recorded schedule.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -56,8 +57,8 @@ def conflicting(a: Operation, b: Operation) -> bool:
 class Schedule:
     """An ordered record of operations, as produced by a run.
 
-    The checker reads it through :meth:`pairs`; :class:`ColumnSchedule`
-    serves the same pairs from a run's recorded columns."""
+    The checker reads it through :meth:`columns`; :class:`ColumnSchedule`
+    holds a run's recorded columns and serves them as they are."""
 
     def __init__(self, ops: Iterable[Operation] = ()) -> None:
         self.ops: list[Operation] = list(ops)
@@ -68,10 +69,14 @@ class Schedule:
     def record_update(self, operator: str) -> None:
         self.ops.append(UpdateOp(operator))
 
-    def pairs(self) -> Iterator[tuple[str, int]]:
-        """``(operator, txn)`` per operation in schedule order, a μ under
-        ``UPDATE_TXN``."""
-        return ((op.operator, txn_of(op)) for op in self.ops)
+    def columns(self) -> tuple[Sequence[str], Sequence[int], Sequence[int]]:
+        """The schedule as :class:`ColumnSchedule`'s ``(names, operators,
+        txns)``: each operator name once, in order of first appearance,
+        then per operation the index of its name (an ``array('H')``) and
+        its txn (an ``array('q')``, ``UPDATE_TXN`` for a μ)."""
+        ids: dict[str, int] = {}
+        operators = array("H", (ids.setdefault(op.operator, len(ids)) for op in self.ops))
+        return list(ids), operators, array("q", map(txn_of, self.ops))
 
     def transactions(self) -> dict[int, list[Operation]]:
         """Group operations by transaction, preserving schedule order."""
@@ -90,20 +95,20 @@ class Schedule:
 class ColumnSchedule(Schedule):
     """A read-only schedule stored as two columns: the i-th operation runs
     on operator ``names[operators[i]]`` in transaction ``txns[i]``
-    (``UPDATE_TXN`` for a μ). :meth:`pairs` reads the columns in place;
-    iterating builds each operation only as it is reached."""
+    (``UPDATE_TXN`` for a μ). :meth:`columns` returns the columns
+    themselves; iterating builds each operation only as it is reached."""
 
     def __init__(self, names: Sequence[str], operators: Sequence[int], txns: Sequence[int]) -> None:
         self.names, self.operators, self.txns = names, operators, txns
 
-    def pairs(self) -> Iterator[tuple[str, int]]:
-        return zip(map(self.names.__getitem__, self.operators), self.txns)
+    def columns(self) -> tuple[Sequence[str], Sequence[int], Sequence[int]]:
+        return self.names, self.operators, self.txns
 
     def __len__(self) -> int:
         return len(self.txns)
 
     def __iter__(self) -> Iterator[Operation]:
-        for operator, txn in self.pairs():
+        for operator, txn in zip(map(self.names.__getitem__, self.operators), self.txns):
             yield UpdateOp(operator) if txn == UPDATE_TXN else DataOp(txn, operator)
 
 

@@ -11,6 +11,7 @@ absolute values differ; the shape criteria are listed in DESIGN.md §5.
 from __future__ import annotations
 
 import math
+import pickle
 from typing import Callable, Sequence
 
 from repro.core.fries import ReconfigPlan, plan_general
@@ -35,16 +36,20 @@ def delays(build: Callable[[], WorkflowSpec], requests: Sequence[tuple[PlanSched
            *, warmup: float, t_max: float) -> list[ReconfigResult]:
     """The result of each ``(scheduler, reconfig_ops)`` request, made at
     ``warmup`` on one warmed run of ``build()`` that records nothing, and
-    run until it completes (or ``t_max``). Each request but the last runs
-    on a fork of that run (:meth:`Simulator.fork`), the last on the run
-    itself, so one request forks nothing."""
+    run until it completes (or ``t_max``). One request runs on the warmed
+    run itself and forks nothing. Otherwise the warmed run is pickled once
+    and dropped, and each request runs on its own load of that pickle (the
+    round trip of :meth:`Simulator.fork`), so a request holds one run and
+    the pickle, not the warmed run as well."""
     sim = Simulator(build(), record="none")
     sim.start()
     sim.run(until=warmup)
-    *forked, (scheduler, ops) = requests
-    results = [request_and_run(sim.fork(), s, o, t_request=warmup, t_end=t_max) for s, o in forked]
-    results.append(request_and_run(sim, scheduler, ops, t_request=warmup, t_end=t_max))
-    return results
+    if len(requests) == 1:
+        [(scheduler, ops)] = requests
+        return [request_and_run(sim, scheduler, ops, t_request=warmup, t_end=t_max)]
+    warmed = pickle.dumps(sim, pickle.HIGHEST_PROTOCOL)
+    del sim
+    return [request_and_run(pickle.loads(warmed), s, o, t_request=warmup, t_end=t_max) for s, o in requests]
 
 
 def run_delay(

@@ -62,8 +62,8 @@ class TestRunDelay:
 
 class TestDelays:
     def test_equals_run_delay_per_request(self):
-        """Requests on forks of one warmed run, and the last on the run
-        itself, give each request's fresh ``run_delay`` to the bit."""
+        """Requests on loads of one pickle of a warmed run give each
+        request's fresh ``run_delay`` to the bit."""
         build = lambda: defs.w2(parallelism=2, rate=2000)
         requests = [
             (FriesScheduler, {"J1"}),
@@ -79,10 +79,11 @@ class TestDelays:
         ]
 
     def test_run_delay_forks_nothing(self, monkeypatch):
-        def no_fork(sim):
+        def no_fork(*args, **kwargs):
             raise AssertionError("forked")
 
         monkeypatch.setattr(Simulator, "fork", no_fork)
+        monkeypatch.setattr(experiments.pickle, "dumps", no_fork)
         build = lambda: defs.w2(parallelism=2, rate=2000)
         assert 0 < run_delay(build, FriesScheduler(), {"J1"}, warmup=2.0, t_max=60.0) < 60_000
 

@@ -4,9 +4,9 @@ place, and what the benchmark reads of them.
 ``Simulator.op_log`` stores one entry per operation in four typed columns,
 and ``schedule_log`` is a §4.2 schedule view over them. The tests here
 compare that view with a schedule of ``DataOp``/``UpdateOp`` built from the
-log's rows, bound the memory per row of ``op_log`` and ``sink_log`` and the
-memory per channel of a built simulator, and run the benchmark command that
-checks recorded schedules.
+log's rows, bound the memory per row of ``op_log`` and ``sink_log``, the
+checker's memory per transaction and the memory per channel of a built
+simulator, and run the benchmark command that checks recorded schedules.
 """
 import gc
 import math
@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.serializability import check, check_brute_force
 from repro.core.transactions import UPDATE_TXN, ColumnSchedule, DataOp, Schedule, UpdateOp
-from repro.engine import EpochScheduler, FriesScheduler, MultiVersionScheduler, Simulator
+from repro.engine import EpochScheduler, FriesScheduler, MultiVersionScheduler, NaiveFCMScheduler, Simulator
 from repro.workflows import defs
 
 from .test_engine_basics import _halt_case_run
@@ -159,6 +159,30 @@ def test_sink_log_costs_at_most_32_bytes_per_row():
     rows, per_row = _log_bytes_per_row("sink_log")
     assert rows > 5_000
     assert 24 <= per_row <= 32, (per_row, rows)
+
+
+def test_check_peaks_at_most_16_bytes_per_transaction():
+    """Checking a recorded W4 run at p=2 whose schedule has violations
+    (NaiveFCM) allocates at most 16 bytes per transaction at its peak: two
+    ``array('H')`` indexed by txn (dicts and a set per transaction peaked
+    at about 27 here and 59 on the benchmark's W5 {FD4} unpruned run)."""
+    build, ops, warmup, t_max = HALT_CASES["W4"]
+    sim = Simulator(build())
+    sim.start()
+    sim.run(until=warmup)
+    NaiveFCMScheduler().request(sim, ops, warmup)
+    sim.run(until=t_max)
+    schedule = sim.schedule_log
+    txns = len(set(schedule.txns) - {UPDATE_TXN})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verdict = check(schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.serializable and txns > 5_000
+    assert peak / txns <= 16, (peak, txns)
 
 
 def test_built_simulator_holds_at_most_400_bytes_per_channel():
