@@ -4,13 +4,16 @@
 
 Run from the repository root. Each pair runs the unmodified
 ``perfbench/run.py`` once in a checkout of the committed files of
-``--parent`` (extracted with ``git archive`` into a temporary directory)
-and once in the working tree, one after the other, never at the same time;
-which side goes first alternates from pair to pair. Before the first pair,
-``src/`` and ``perfbench/`` of both trees are byte-compiled, so that no run
-compiles a module: an extract holds no ``.pyc`` files, and with
-``PYTHONDONTWRITEBYTECODE`` set its runs would never write any, which made
-the parent side's ``peak_rss_mb`` read higher. The script prints each
+``--parent`` (extracted with ``git archive``) and once in a copy of what a
+run reads from the working tree (``src/``, ``perfbench/``, ``benchmarks/``
+and ``BENCHMARK.json``), one after the other, never at the same time;
+which side goes first alternates from pair to pair. The two trees are
+sibling temporary directories whose paths have one length: a run's
+``peak_rss_mb`` moves by up to 1.5 MB with the length of its tree's path.
+Before the first pair, ``src/`` and ``perfbench/`` of both trees are
+byte-compiled, so that no run compiles a module (with
+``PYTHONDONTWRITEBYTECODE`` set, a tree without ``.pyc`` files would
+compile every module in every run). The script prints each
 side's median and quartiles of every end-to-end metric that
 ``BENCHMARK.json`` declares, how many pairs the change won on it, and the
 verdict on a claimed gain: met only if the change won at least 9 of every
@@ -29,6 +32,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,14 @@ def extract(rev: str, into: pathlib.Path) -> None:
         tar.seek(0)
         with tarfile.open(fileobj=tar) as archive:
             archive.extractall(into, filter="data")
+
+
+def copy_working_tree(into: pathlib.Path) -> None:
+    """What a benchmark run reads from the working tree, under ``into``."""
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "perfbench", "benchmarks"):
+        shutil.copytree(ROOT / name, into / name, ignore=skip)
+    shutil.copy2(ROOT / "BENCHMARK.json", into)
 
 
 def compile_tree(tree: pathlib.Path) -> None:
@@ -129,8 +141,9 @@ def main(argv: list[str] | None = None) -> int:
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     wins = {m["name"]: 0 for m in metrics}
     with tempfile.TemporaryDirectory(prefix="perf_pairs_") as tmp:
-        trees = {"parent": pathlib.Path(tmp), "change": ROOT}
+        trees = {side: pathlib.Path(tmp, side) for side in ("parent", "change")}
         extract(commits["parent"], trees["parent"])
+        copy_working_tree(trees["change"])
         for tree in trees.values():
             compile_tree(tree)
         for i in range(args.pairs):
