@@ -7,11 +7,11 @@ with its arrival key ``(t, seq)``: the arrival time and a number taken at
 send time from the simulator's one sequence of ordering keys. That is the
 key a delivery event scheduled at send time would have had, so arrival keys
 order messages exactly as such events would run. A message has arrived once
-``t <= now``, and the destination worker pops only arrived messages. A data
-message needs no event of its own: the destination, if idle, wakes at the
-earliest arrival key among its inputs (:meth:`Worker._arm_wake`). A marker
-is rare and keeps an arrival event at its key, which notifies the
-destination.
+``t <= now``, and the destination worker pops only arrived messages. Data
+and markers are sent by one ``send``. A data message needs no event of its
+own: the destination, if idle, wakes at the earliest arrival key among its
+inputs (:meth:`Worker._arm_wake`). A marker is rare and keeps an arrival
+event at its key, which notifies the destination.
 
 Capacity counts the data messages sent and not yet popped, plus the markers
 that have arrived and are not yet popped; a marker in flight does not count.
@@ -89,10 +89,11 @@ class Channel:
     def data_load(self) -> int:
         return len(self.queue) - self.markers_in_flight
 
-    def send(self, msg: DataMsg) -> None:
-        """Enqueue data message ``msg``. The caller must have checked that
-        it fits: ``data_load()`` plus the messages it sends here at once is
-        at most ``capacity``. ``msg`` is not written after this call."""
+    def send(self, msg: DataMsg | EpochMarker) -> None:
+        """Enqueue ``msg``, data or marker. For data the caller must have
+        checked that it fits: ``data_load()`` plus the messages it sends
+        here at once is at most ``capacity``. ``msg`` is not written after
+        this call."""
         sim, queue, dst = self.sim, self.queue, self.dst
         sim._evseq = seq = sim._evseq + 1
         t = sim.now + self.latency
@@ -101,25 +102,15 @@ class Channel:
             if not self.blocked:
                 heappush(dst.ready, (t, seq, self.index))
         queue.append(entry := (t, seq, msg))
-        # An idle worker with no dispatch scheduled wakes at this arrival,
-        # unless an earlier wake is pending.
-        if dst.state == "idle" and not dst._dispatch_scheduled:
+        if type(msg) is not DataMsg:
+            self.markers_in_flight += 1
+            sim.schedule_keyed(t, seq, self._marker_arrived)
+        elif dst.state == "idle" and not dst._dispatch_scheduled:
+            # An idle worker with no dispatch scheduled wakes at this data
+            # arrival, unless an earlier wake is pending.
             wakes = dst._wakes
             if not wakes or entry < wakes[0]:
                 dst._wake_at(entry)
-
-    def send_marker(self, marker: EpochMarker) -> None:
-        """Enqueue ``marker`` with an arrival event at its key."""
-        sim, queue = self.sim, self.queue
-        sim._evseq = seq = sim._evseq + 1
-        t = sim.now + self.latency
-        if not queue:
-            self.queue = queue = deque()
-            if not self.blocked:
-                heappush(self.dst.ready, (t, seq, self.index))
-        queue.append((t, seq, marker))
-        self.markers_in_flight += 1
-        sim.schedule_keyed(t, seq, self._marker_arrived)
 
     def _marker_arrived(self) -> None:
         self.markers_in_flight -= 1

@@ -104,7 +104,6 @@ def max_copies(spec: WorkflowSpec) -> dict[str, int]:
 class ReconfigResult:
     """Delay measurement for one reconfiguration request."""
 
-    request_time: float
     apply_times: dict[str, float] = field(default_factory=dict)
     delay: float = math.inf
     completed: bool = False
@@ -135,7 +134,6 @@ class PlanScheduler:
         times = {w: sim.apply_times[w] for w in workers if w in sim.apply_times}
         done = len(times) == len(workers)
         return ReconfigResult(
-            request_time=t,
             apply_times=times,
             delay=(max(times.values()) - t) if done else math.inf,
             completed=done,
@@ -239,7 +237,6 @@ class MultiVersionScheduler:
         done = len(seen_v2) == len(last_v1)
         delay = (max(last_v1.values()) - t) if done else math.inf
         return ReconfigResult(
-            request_time=t,
             apply_times={log.names[i]: when for i, when in last_v1.items()} if done else {},
             delay=delay,
             completed=done,

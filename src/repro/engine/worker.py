@@ -6,12 +6,14 @@ to channel backpressure, and participates in the control protocols. A
 single output whose channel has room is sent at once; several outputs, or
 one that does not fit, go through the pending list and are sent together
 once all of them fit. A source is a worker whose tuples come from a clock
-instead of an input: it sends each new tuple the same way as any operator
-sends its outputs, so a source whose outputs do not fit is ``blocked`` like
-any other worker (§3.2's backpressure reaching the plan heads). Its tuple
-counts as processed, is logged and gets its multi-version tag only once it
-is sent. A sent message is never written, so a worker whose output keeps
-the key forwards the message it holds.
+instead of an input: it hands each new tuple to the same send tail as any
+operator's outputs, so a source whose outputs do not fit is ``blocked``
+like any other worker (§3.2's backpressure reaching the plan heads). Its
+tuple counts as processed and is logged only once it is sent. A registered
+source tags its tuple with its version when it builds it, and a version
+change handled while the tuple waits for room retags it. No send writes a
+message and a sent message is never written, so a worker whose output
+keeps the key forwards the message it holds.
 
 * **FCMs** are handled between tuples — immediately if the worker is idle,
   otherwise right after the current tuple finishes and its outputs flush
@@ -70,8 +72,8 @@ class Worker:
     __slots__ = ("sim", "op", "index", "name", "id", "rng", "inputs", "ready", "out",
                  "version", "_cost", "applied", "multiversion", "control", "state",
                  "_pending", "_dispatch_scheduled", "_wakes", "_finish_at", "_aligning",
-                 "_sj_state", "processed", "_emitted", "_txn", "_record", "_dispatch_cb",
-                 "_finish_cb", "_source_emit_cb", "_on_wake_cb")
+                 "_sj_state", "processed", "_txn", "_record", "_dispatch_cb",
+                 "_finish_cb", "_source_emit_cb", "_on_wake_cb", "_after_send")
 
     def __init__(self, sim: "Simulator", op: OpSpec, index: int, wid: int) -> None:
         self.sim = sim
@@ -107,16 +109,16 @@ class Worker:
         self._aligning: dict[EpochMarker, tuple[int, list[Channel]]] = {}
         # Self-join per-transaction arrival counts.
         self._sj_state: dict[int, int] = {}
-        self.processed = 0
-        # Source state: tuples sent, and the txn of the tuple being emitted.
-        self._emitted = 0
-        self._txn = 0
+        self.processed = 0  # a source's: the tuples it sent
+        self._txn = 0  # a source's: the txn of the tuple being sent
         self._record = sim.record == "all"  # log every operation in op_log
         # Bound once: each attribute access would build a new bound method.
         self._dispatch_cb = self._dispatch
         self._finish_cb = self._finish
         self._source_emit_cb = self._source_emit
         self._on_wake_cb = self._on_wake
+        # What follows a completed send (``_send``, ``_try_emit``).
+        self._after_send = self._sent if op.kind == "source" else self._resume
 
     # ------------------------------------------------------------------
     # control plane
@@ -132,7 +134,8 @@ class Worker:
         """Drain the control queue. Only called between tuples (idle, or a
         source whose tuple is not sent yet), so configuration swaps never
         split the processing of a tuple and markers stay FIFO behind sent
-        data."""
+        data. Then a registered source's unsent tuple is retagged with the
+        source's version."""
         while self.control:
             fcm = self.control[0]
             self.control = self.control[1:]
@@ -145,6 +148,9 @@ class Worker:
                 self.version = 2
             else:  # pragma: no cover
                 raise ValueError(f"unknown FCM {fcm!r}")
+        if self.multiversion:
+            for _, m in self._pending:  # empty unless a source is blocked
+                m.version_tag = self.version
 
     def _apply_reconfig(self) -> None:
         if self.applied:
@@ -164,7 +170,7 @@ class Worker:
         for dst_op, _, channels in self.out:
             if (self.op.name, dst_op) in marker.edges:
                 for ch in channels:
-                    ch.send_marker(marker)
+                    ch.send(marker)
 
     # ------------------------------------------------------------------
     # data plane
@@ -280,11 +286,8 @@ class Worker:
             self._wake_at(first)
 
     def _finish(self, msg: DataMsg) -> None:
-        """The tuple ``msg`` is processed: send its outputs. A kind that
-        keeps the key sends ``msg`` itself, which no one writes once sent.
-        A single output whose channel has room is sent right here; several
-        outputs go through ``_pending`` and ``_try_emit``, and an output
-        that does not fit waits in ``_pending`` for ``on_channel_freed``."""
+        """The tuple ``msg`` is processed: send its outputs (``_send``). A
+        kind that keeps the key sends ``msg`` itself."""
         self.processed += 1
         op, out, pending = self.op, self.out, self._pending
         kind = op.kind
@@ -323,6 +326,15 @@ class Worker:
                 self._sj_state[msg.txn] = n
         elif kind == "sink":
             self.sim.log_sink(msg)
+        self._send(edge, msg)
+
+    def _send(self, edge: tuple[str, str, list[Channel]] | None, msg: DataMsg) -> None:
+        """Send ``msg`` on out-edge ``edge``, if given, and the outputs
+        already routed into ``_pending``, then ``_after_send``. A single
+        output whose channel has room is sent right here; several outputs
+        go through ``_pending`` and ``_try_emit``, and an output that does
+        not fit waits in ``_pending`` for ``on_channel_freed``."""
+        pending = self._pending
         if edge is not None:
             channels = edge[2]
             if edge[1] == "broadcast" and len(channels) > 1:
@@ -339,7 +351,7 @@ class Worker:
             self._try_emit()
         else:
             self.state = "idle"
-            self._resume()
+            self._after_send()
 
     def _try_emit(self) -> None:
         """Send the pending outputs if they all fit, each channel counting
@@ -356,18 +368,11 @@ class Worker:
             for ch, n in need.items():
                 if ch.data_load() + n > ch.capacity:
                     return
-        source = self.op.kind == "source"
-        if source and self.multiversion:
-            for _, m in pending:
-                m.version_tag = self.version
         for ch, m in pending:
             ch.send(m)
         pending.clear()
         self.state = "idle"
-        if source:
-            self._sent()
-        else:
-            self._resume()
+        self._after_send()
 
     def on_channel_freed(self) -> None:
         if self.state == "blocked":
@@ -406,34 +411,21 @@ class Worker:
             self.sim.schedule(self.sim.now, self._source_emit_cb)
 
     def _source_emit(self) -> None:
-        """Build the next tuple and send it on every out-edge: a single
-        output right here if its channel has room; otherwise through
-        ``_pending`` and ``_try_emit``. The tuple is tagged just before it
-        is sent, with the version of now, not of its creation, since a
-        version bump may arrive while the source is blocked."""
-        op, sim = self.op, self.sim
-        if op.n_tuples is not None and self._emitted >= op.n_tuples:
+        """Build the next tuple, tagged with this source's version if it is
+        registered for multi-versioning, and send it on every out-edge the
+        way an operator sends its outputs (``_send``)."""
+        op, sim, out = self.op, self.sim, self.out
+        if op.n_tuples is not None and self.processed >= op.n_tuples:
             return
         self._txn = txn = sim.next_txn()
         key = op.key_dist.sample(self.rng) if op.key_dist else self.rng.randrange(1 << 30)
-        msg = DataMsg(txn, key, sim.now)
-        out = self.out
-        if len(out) == 1 and (out[0][1] != "broadcast" or len(out[0][2]) == 1):
-            channels = out[0][2]
-            ch = channels[key % len(channels)]
-            if ch.data_load() >= ch.capacity:
-                self._pending.append((ch, msg))
-                self.state = "blocked"  # until on_channel_freed
-                return
-            if self.multiversion:
-                msg.version_tag = self.version
-            ch.send(msg)
-            self._sent()
+        msg = DataMsg(txn, key, sim.now, self.version if self.multiversion else None)
+        if len(out) == 1:
+            self._send(out[0], msg)
             return
         for edge in out:
             _route(self._pending, edge, msg)
-        self.state = "blocked"
-        self._try_emit()
+        self._send(None, msg)
 
     def _sent(self) -> None:
         """The source's tuple entered the stream: log it and schedule the
@@ -445,19 +437,17 @@ class Worker:
             log.worker.append(self.id)
             log.txn.append(self._txn)
             log.version.append(self.version)
-        self._emitted += 1
         self.processed += 1
-        if op.n_tuples is None or self._emitted < op.n_tuples:
+        if op.n_tuples is None or self.processed < op.n_tuples:
             sim.schedule(sim.now + 1.0 / op.rate_at(sim.now), self._source_emit_cb)
 
 
 def _route(emits: list, edge: tuple[str, str, list[Channel]], msg: DataMsg) -> None:
-    """Add ``msg`` on out-edge ``edge`` to ``emits``, on the channel(s) its
-    partitioning picks."""
+    """Add ``msg`` on out-edge ``edge`` to ``emits``: on every channel of a
+    broadcast edge, else on the channel of its key (a forward edge has one
+    channel per worker, so the key picks that one)."""
     _, strategy, channels = edge
     if strategy == "broadcast":
         emits.extend((ch, msg) for ch in channels)
-    elif strategy == "forward":
-        emits.append((channels[0], msg))
-    else:  # hash
+    else:
         emits.append((channels[msg.key % len(channels)], msg))

@@ -26,7 +26,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
 
-from repro.workflows.spark_queries import _with_version_scores
+from repro.workflows.spark_queries import _with_version_scores, w4_unnest
 
 RECONFIG_OPS = ("FD1", "FD2")
 
@@ -64,21 +64,9 @@ def w4_with_swap(
     ``v_FD1``/``v_FD2`` (configuration versions applied to each row) and
     the version-consistent scores.
     """
-    f1 = by_user.filter(F.size("pays") >= min_payments)
     # Transaction position = source ingestion order of the user's row
     # (first payment seq); row position = exploded-payment stream order.
-    f1 = f1.withColumn("txn_pos", F.expr("pays[0].seq"))
-    u2 = f1.select(
-        F.col("user_id").alias("txn"),
-        "txn_pos",
-        F.explode("pays").alias("p"),
-    ).select(
-        "txn",
-        "txn_pos",
-        F.col("p.seq").alias("seq"),
-        F.col("p.merchant_id").alias("merchant_id"),
-        F.col("p.amount").alias("amount"),
-    )
+    u2 = w4_unnest(by_user, min_payments=min_payments).withColumnRenamed("user_id", "txn")
     u2 = u2.withColumn("row_pos", F.row_number().over(Window.orderBy("seq")) - 1)
 
     if schedule.mode == "naive":

@@ -214,18 +214,27 @@ def w1_pipeline(payments: DataFrame, *, version: int = 1) -> DataFrame:
     return scored.withColumn("fraud", F.col("score") > FRAUD_THRESHOLD)
 
 
-def w4_pipeline(by_user: DataFrame, *, min_payments: int = 3) -> DataFrame:
-    """W4: F1 filters big payers, U2 unnests payments (one-to-many), FD1
-    scores per user, FD2 per merchant (both with the v1 model), F2 flags."""
+def w4_unnest(by_user: DataFrame, *, min_payments: int) -> DataFrame:
+    """W4's relational skeleton: F1 keeps the users with at least
+    ``min_payments`` payments and U2 unnests them (one-to-many), one row per
+    payment. ``txn_pos`` is the user's first payment ``seq``, where the
+    user's transaction enters the source stream."""
     f1 = by_user.filter(F.size("pays") >= min_payments)
-    u2 = f1.select(
-        "user_id", F.explode("pays").alias("p")
+    return f1.select(
+        "user_id", F.expr("pays[0].seq").alias("txn_pos"), F.explode("pays").alias("p")
     ).select(
         "user_id",
+        "txn_pos",
         F.col("p.seq").alias("seq"),
         F.col("p.merchant_id").alias("merchant_id"),
         F.col("p.amount").alias("amount"),
     )
+
+
+def w4_pipeline(by_user: DataFrame, *, min_payments: int = 3) -> DataFrame:
+    """W4: F1 filters big payers, U2 unnests payments (``w4_unnest``), FD1
+    scores per user, FD2 per merchant (both with the v1 model), F2 flags."""
+    u2 = w4_unnest(by_user, min_payments=min_payments).drop("txn_pos")
     fd1 = _with_scores(u2, key_col="user_id", scores={"user_score": 1})
     fd2 = _with_scores(fd1, key_col="merchant_id", scores={"merchant_score": 1})
     return fd2.withColumn(
@@ -236,10 +245,10 @@ def w4_pipeline(by_user: DataFrame, *, min_payments: int = 3) -> DataFrame:
 
 
 W4_RELATIONAL_SQL = """
-SELECT user_id, CAST(p.seq AS BIGINT) AS seq,
+SELECT user_id, CAST(txn_pos AS BIGINT) AS txn_pos, CAST(p.seq AS BIGINT) AS seq,
        CAST(p.merchant_id AS BIGINT) AS merchant_id,
        p.amount AS amount
-FROM (SELECT user_id, UNNEST(pays) AS p FROM by_user
+FROM (SELECT user_id, pays[1].seq AS txn_pos, UNNEST(pays) AS p FROM by_user
       WHERE LEN(pays) >= {min_payments})
 """
 

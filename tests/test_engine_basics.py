@@ -354,11 +354,9 @@ class DeliveryChannel(Channel):
         return self.in_transit + len(self.queue)
 
     def send(self, msg):
-        self.in_transit += 1
+        if type(msg) is DataMsg:
+            self.in_transit += 1
         self.sim.schedule(self.sim.now + self.latency, self._deliver, msg)
-
-    def send_marker(self, marker):
-        self.sim.schedule(self.sim.now + self.latency, self._deliver, marker)
 
     def _deliver(self, msg):
         sim = self.sim
@@ -709,7 +707,8 @@ class SnapshotChannel(Channel):
         self.popped = self.tagged = 0
 
     def send(self, msg):
-        self.sent.append((msg, _fields(msg)))
+        if type(msg) is DataMsg:
+            self.sent.append((msg, _fields(msg)))
         super().send(msg)
 
     def pop(self):

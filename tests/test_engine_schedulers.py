@@ -87,6 +87,19 @@ def run(spec, scheduler, ops, *, t_req=0.3, t_end=200.0):
     return sim, res
 
 
+def versions_by_txn(sim: Simulator, ops) -> dict[int, set[int]]:
+    """The versions each transaction's data operations use on the workers
+    of ``ops``. A multi-version run logs no μ, so the serializability
+    checker sees no update in it: its consistency is that each of these
+    sets has one version."""
+    workers = sim.reconfig_workers(ops)
+    seen: dict[int, set[int]] = {}
+    for _, w, txn, v in sim.op_log:
+        if w in workers and txn != UPDATE_TXN:
+            seen.setdefault(txn, set()).add(v)
+    return seen
+
+
 class TestNaiveScheduler:
     def test_fig2_anomaly(self):
         """The §4.1 motivating example: naive FCMs to FM and MC produce a
@@ -266,9 +279,14 @@ class TestSavepointScheduler:
 
 class TestMultiVersionScheduler:
     def test_serializable(self):
+        """§4.1: every transaction runs at one version on FM and MC, and
+        both versions run. ``check`` would pass any multi-version run,
+        which logs no μ."""
         sim, res = run(fig2_spec(), MultiVersionScheduler(), {"FM", "MC"})
         assert res.completed
-        assert check(sim.schedule_log).serializable
+        seen = versions_by_txn(sim, {"FM", "MC"})
+        assert all(len(v) == 1 for v in seen.values())
+        assert set().union(*seen.values()) == {1, 2}
 
     def test_delay_comparable_to_epoch(self):
         """§4.1: in-flight old-version tuples still processed with the old
@@ -280,18 +298,26 @@ class TestMultiVersionScheduler:
 
     def test_blocked_source_tags_at_send(self, monkeypatch):
         """A source blocked on a full channel when its version bump arrives
-        sends that tuple tagged v2: the tag is taken when the tuple enters
-        the stream, not when it is built. Every worker then processes every
-        txn at the version the source logged for it."""
+        sends that tuple tagged v2: the bump retags the tuple that waits
+        for room. Every worker then processes every txn at the version the
+        source logged for it."""
+        self._check_blocked_source("hash", 1, monkeypatch)
+
+    def test_blocked_source_retags_batch(self, monkeypatch):
+        """The same through a broadcast into two workers: the bump retags
+        the pending batch of copies that ``_try_emit`` sends."""
+        self._check_blocked_source("broadcast", 2, monkeypatch)
+
+    def _check_blocked_source(self, strategy, p, monkeypatch):
         dag = DAG.from_edges([("src", "A"), ("A", "B"), ("B", "sink")])
         ops = {
             "src": OpSpec("src", kind="source", rate=1000, n_tuples=100,
                           key_dist=KeyDist.uniform(10)),
-            "A": OpSpec("A", kind="map", cost={1: 0.005}),
+            "A": OpSpec("A", kind="map", parallelism=p, cost={1: 0.005}),
             "B": OpSpec("B", kind="map", cost={1: 0.001}),
             "sink": OpSpec("sink", kind="sink"),
         }
-        edges = {("src", "A"): EdgeSpec("hash", capacity=2)}
+        edges = {("src", "A"): EdgeSpec(strategy, capacity=2)}
         at_bump = []
         on_fcm = Worker.on_fcm
 
@@ -312,7 +338,7 @@ class TestMultiVersionScheduler:
                 versions.setdefault(txn, {})[w] = v
         assert versions[blocked_txn]["src#0"] == 2
         for txn, by_worker in versions.items():
-            assert set(by_worker) == {"src#0", "A#0", "B#0", "sink#0"}
+            assert set(by_worker) == {"src#0", *(f"A#{i}" for i in range(p)), "B#0", "sink#0"}
             assert set(by_worker.values()) == {by_worker["src#0"]}, txn
         assert {v["src#0"] for v in versions.values()} == {1, 2}
 
@@ -577,8 +603,16 @@ class TestSelfJoinCopies:
 @example(case=broadcast_diamond(2, 0.1))
 def test_branching_serializable(case):
     """Theorems 5.8/6.4 and Lemma 4.11 on branching DAGs: pruned Fries,
-    unpruned Fries and EBR schedules are all conflict-serializable."""
+    unpruned Fries and EBR schedules are all conflict-serializable, and
+    the multi-version scheduler runs each transaction at one version on
+    the reconfiguration workers, and both versions run there. A
+    multi-version request need not complete: a worker may get no v2 tuple
+    before the sources stop."""
     for scheduler in (FriesScheduler(), FriesScheduler(prune=False), EpochScheduler()):
         sim, res = run_case(case, scheduler)
         assert res.completed
         assert check(sim.schedule_log).serializable, scheduler
+    sim, _ = run_case(case, MultiVersionScheduler())
+    seen = versions_by_txn(sim, case.targets)
+    assert all(len(v) == 1 for v in seen.values())
+    assert set().union(*seen.values()) == {1, 2}

@@ -103,16 +103,15 @@ class TestW1:
 
 class TestW4:
     def test_relational_skeleton_oracle(self, by_user):
-        """F1+U2 (filter + unnest) checked against DuckDB UNNEST."""
-        f1 = by_user.filter(F.size("pays") >= 3)
-        u2 = f1.select("user_id", F.explode("pays").alias("p")).select(
-            "user_id",
-            F.col("p.seq").alias("seq"),
-            F.col("p.merchant_id").alias("merchant_id"),
-            F.col("p.amount").alias("amount"),
-        )
+        """F1+U2 (filter + unnest), as ``w4_pipeline`` and ``w4_with_swap``
+        run them, checked against DuckDB UNNEST. Every user at this SF has
+        more than 3 payments, so the threshold is above the median list
+        size: F1 must drop users."""
+        med = by_user.select(F.expr("percentile(size(pays), 0.5)")).first()[0]
+        n = int(med) + 1
         assert_equivalent(
-            u2, q.W4_RELATIONAL_SQL.format(min_payments=3), by_user=by_user
+            q.w4_unnest(by_user, min_payments=n),
+            q.W4_RELATIONAL_SQL.format(min_payments=n), by_user=by_user,
         )
 
     def test_unnest_count(self, by_user):
