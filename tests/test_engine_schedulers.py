@@ -605,9 +605,9 @@ def test_branching_serializable(case):
     """Theorems 5.8/6.4 and Lemma 4.11 on branching DAGs: pruned Fries,
     unpruned Fries and EBR schedules are all conflict-serializable, and
     the multi-version scheduler runs each transaction at one version on
-    the reconfiguration workers, and both versions run there. A
-    multi-version request need not complete: a worker may get no v2 tuple
-    before the sources stop."""
+    the reconfiguration workers, where both versions run. A multi-version
+    request need not complete: a worker may get no v2 tuple before the
+    sources stop."""
     for scheduler in (FriesScheduler(), FriesScheduler(prune=False), EpochScheduler()):
         sim, res = run_case(case, scheduler)
         assert res.completed
