@@ -88,20 +88,20 @@ def run_once(tree: pathlib.Path, workload: str, seed: int) -> dict:
     return result
 
 
-def append_record(record: dict) -> None:
-    """Add ``record`` to the log, one record a line, after the records
+def append_record(record: dict, log: pathlib.Path = LOG) -> None:
+    """Add ``record`` to ``log``, one record a line, after the records
     already there."""
     line = json.dumps(record, sort_keys=True)
-    if not LOG.exists():
-        LOG.write_text(f"[\n{line}\n]\n")
+    if not log.exists():
+        log.write_text(f"[\n{line}\n]\n")
         return
-    text = LOG.read_text().rstrip()
+    text = log.read_text().rstrip()
     if not text.endswith("]"):
-        raise ValueError(f"{LOG} does not end in ']'")
+        raise ValueError(f"{log} does not end in ']'")
     body = text[:-1].rstrip()
     sep = "" if body == "[" else ","
-    LOG.write_text(f"{body}{sep}\n{line}\n]\n")
-    json.loads(LOG.read_text())  # still one JSON list
+    log.write_text(f"{body}{sep}\n{line}\n]\n")
+    json.loads(log.read_text())  # still one JSON list
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:

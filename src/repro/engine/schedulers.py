@@ -200,8 +200,12 @@ class MultiVersionScheduler:
     subsequent tuples v2. The reconfiguration is complete when no
     reconfiguration worker will ever process a v1 tuple again — measured
     post-hoc as the last v1 data operation on a reconfiguration worker.
-    That measurement reads ``op_log``'s columns from the request time on,
-    so the simulator must record.
+    That is certain once every reconfiguration worker has processed a v2
+    tuple, or once the run has drained (:attr:`Simulator.drained`): then
+    no tuple reaches any worker any more, so a worker that gets no data
+    after the request does not keep it incomplete. The measurement reads
+    ``op_log``'s columns from the request time on, so the simulator must
+    record.
     """
 
     def __init__(self) -> None:
@@ -234,7 +238,7 @@ class MultiVersionScheduler:
                     last_v1[wid] = when
                 else:
                     seen_v2.add(wid)
-        done = len(seen_v2) == len(last_v1)
+        done = len(seen_v2) == len(last_v1) or sim.drained
         delay = (max(last_v1.values()) - t) if done else math.inf
         return ReconfigResult(
             apply_times={log.names[i]: when for i, when in last_v1.items()} if done else {},

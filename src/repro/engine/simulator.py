@@ -168,6 +168,12 @@ class Simulator:
         heapq.heappush(self._heap, (t, seq, fn, args))
 
     @property
+    def drained(self) -> bool:
+        """No event is left, on the heap or in the same-time lane: however
+        long the run goes on, nothing more happens in it."""
+        return not self._heap and not self._lane
+
+    @property
     def events(self) -> int:
         """Events the loop ran so far, over every call of :meth:`run`. An
         in-place dispatch takes an ordering key but is not one."""

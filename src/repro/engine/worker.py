@@ -49,8 +49,7 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_right
-from heapq import heappop, heappush, heapreplace
-from operator import itemgetter
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.core.parallel import worker_name
@@ -63,9 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
 
 
-_arrival = itemgetter(0)
-
-
 class Worker:
     """One parallel instance of an operator in the simulated engine."""
 
@@ -73,7 +69,7 @@ class Worker:
                  "version", "_cost", "applied", "multiversion", "control", "state",
                  "_pending", "_dispatch_scheduled", "_wakes", "_finish_at", "_aligning",
                  "_sj_state", "processed", "_txn", "_record", "_dispatch_cb",
-                 "_finish_cb", "_source_emit_cb", "_on_wake_cb", "_after_send")
+                 "_finish_cb", "_source_emit_cb", "_on_wake_cb", "_after_send", "_msg")
 
     def __init__(self, sim: "Simulator", op: OpSpec, index: int, wid: int) -> None:
         self.sim = sim
@@ -102,8 +98,9 @@ class Worker:
         self.state = "idle"  # idle | busy | blocked
         self._pending: list[tuple[Channel, DataMsg]] = []
         self._dispatch_scheduled = False
-        self._wakes: list[tuple] = []  # heap of the queue entries with a pending wake
+        self._wakes: list[tuple[float, int]] = []  # heap of the arrival keys with a pending wake
         self._finish_at = 0.0  # when the tuple being processed finishes
+        self._msg: DataMsg | None = None  # the tuple being processed, or the last one
         # Marker alignment: marker -> (number of in-scope inputs, the input
         # channels it has arrived on, blocked meanwhile).
         self._aligning: dict[EpochMarker, tuple[int, list[Channel]]] = {}
@@ -198,11 +195,12 @@ class Worker:
             if self.control or self.ready or self._aligning:
                 self._dispatch()
 
-    def _wake_at(self, entry: tuple) -> None:
-        """Schedule a wake at the arrival key of ``entry``: it does there
-        what a delivery event of that message would do, notify."""
-        heappush(self._wakes, entry)
-        self.sim.schedule_keyed(entry[0], entry[1], self._on_wake_cb)
+    def _wake_at(self, t: float, seq: int) -> None:
+        """Schedule a wake at the arrival key ``(t, seq)`` of a data
+        message: it does there what a delivery event of that message would
+        do, notify."""
+        heappush(self._wakes, (t, seq))
+        self.sim.schedule_keyed(t, seq, self._on_wake_cb)
 
     def _on_wake(self) -> None:
         heappop(self._wakes)  # wakes run in key order: this is the earliest
@@ -219,15 +217,7 @@ class Worker:
                 if not self._dispatch_scheduled:
                     self._arm_wake()
                 return
-            msg = ch.pop()
-            # ch's entry is on top of the ready heap: replace it by the new head.
-            queue = ch.queue
-            if queue:
-                t, seq, _ = queue[0]
-                heapreplace(self.ready, (t, seq, ch.index))
-            else:
-                ch.queue = ()  # an empty channel holds no deque
-                heappop(self.ready)
+            msg = ch.pop()  # ch's entry is on top of the ready heap
             if type(msg) is not DataMsg:
                 self._on_marker(ch, msg)
                 continue
@@ -249,7 +239,8 @@ class Worker:
             if cost is None:
                 cost = self._cost[version] = self.op.cost_at(version, self.index)
             self._finish_at = t = sim.now + cost
-            sim.schedule(t, self._finish_cb, msg)
+            self._msg = msg
+            sim.schedule(t, self._finish_cb)
             return
 
     def _next_channel(self) -> Channel | None:
@@ -261,8 +252,7 @@ class Worker:
         while ready:
             t, seq, i = ready[0]
             ch = inputs[i]
-            queue = ch.queue
-            if not ch.blocked and queue and queue[0][1] == seq:
+            if not ch.blocked and ch.msgs and ch.seqs[ch.head] == seq:
                 return ch if t <= self.sim.now else None
             heappop(ready)
         return None
@@ -273,21 +263,27 @@ class Worker:
         inputs count too, since a delivery event would notify this worker
         for them as well. A marker arrival notifies by its own event."""
         now, ready = self.sim.now, self.ready
-        first = self.inputs[ready[0][2]].queue[0] if ready else None
+        first = msg = None  # the earliest arrival key and its message
+        if ready:  # its top entry is the head key of its channel
+            t, seq, i = ready[0]
+            first = (t, seq)
+            c = self.inputs[i]
+            msg = c.msgs[c.head]
         for _, blocked in self._aligning.values():
             for c in blocked:
-                queue = c.queue
-                j = bisect_right(queue, now, key=_arrival)
-                if j < len(queue) and (first is None or queue[j] < first):
-                    first = queue[j]
+                ts = c.ts
+                j = bisect_right(ts, now, c.head)
+                if j < len(ts) and (first is None or (ts[j], c.seqs[j]) < first):
+                    first, msg = (ts[j], c.seqs[j]), c.msgs[j]
         # Every pending wake is at a future arrival, so none is before first.
         wakes = self._wakes
-        if first is not None and type(first[2]) is DataMsg and (not wakes or first < wakes[0]):
-            self._wake_at(first)
+        if first is not None and type(msg) is DataMsg and (not wakes or first < wakes[0]):
+            self._wake_at(*first)
 
-    def _finish(self, msg: DataMsg) -> None:
-        """The tuple ``msg`` is processed: send its outputs (``_send``). A
-        kind that keeps the key sends ``msg`` itself."""
+    def _finish(self) -> None:
+        """The tuple ``_msg`` is processed: send its outputs (``_send``). A
+        kind that keeps the key sends the tuple itself."""
+        msg = self._msg
         self.processed += 1
         op, out, pending = self.op, self.out, self._pending
         kind = op.kind
@@ -397,9 +393,9 @@ class Worker:
         del self._aligning[marker]
         for c in arrived:
             c.blocked = False
-            if c.queue:
-                t, seq, _ = c.queue[0]
-                heappush(self.ready, (t, seq, c.index))
+            if c.msgs:
+                head = c.head
+                heappush(self.ready, (c.ts[head], c.seqs[head], c.index))
         self._open_epoch(marker)
         self.notify()
 

@@ -64,8 +64,8 @@ class KeyDist:
         return cls(range(n_keys), w)
 
     def sample(self, rng: random.Random) -> int:
-        x = rng.random() * self.cum_weights[-1]
-        return self.values[bisect.bisect_left(self.cum_weights, x)]
+        cum_weights = self.cum_weights
+        return self.values[bisect.bisect_left(cum_weights, rng.random() * cum_weights[-1])]
 
 
 @dataclass

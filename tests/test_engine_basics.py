@@ -8,6 +8,7 @@ import math
 import pathlib
 import random
 import sys
+from array import array
 from collections import deque
 
 import pytest
@@ -322,10 +323,10 @@ class TestReadyHeap:
         def checked(worker):
             now = worker.sim.now
             ready = [c for c in worker.inputs
-                     if not c.blocked and c.queue and c.queue[0][0] <= now]
-            expected = min(ready, key=lambda c: c.queue[0][:2], default=None)
+                     if not c.blocked and c.msgs and c.ts[c.head] <= now]
+            expected = min(ready, key=lambda c: (c.ts[c.head], c.seqs[c.head]), default=None)
             seen["dispatches"] += 1
-            seen["queued_behind_block"] += any(c.blocked and c.queue for c in worker.inputs)
+            seen["queued_behind_block"] += any(c.blocked and c.msgs for c in worker.inputs)
             chosen = next_channel(worker)
             assert chosen is expected, (worker.name, chosen, expected)
             return chosen
@@ -351,7 +352,7 @@ class DeliveryChannel(Channel):
         self.in_transit = 0
 
     def data_load(self):
-        return self.in_transit + len(self.queue)
+        return self.in_transit + len(self.msgs) - self.head
 
     def send(self, msg):
         if type(msg) is DataMsg:
@@ -363,15 +364,24 @@ class DeliveryChannel(Channel):
         if type(msg) is DataMsg:
             self.in_transit -= 1
         sim.delivered += 1  # delivery order: the ready heap's key
-        if not self.queue:
-            self.queue = deque()
+        if not self.msgs:
+            self.msgs, self.ts, self.seqs = [], array("d"), array("q")
             if not self.blocked:
                 heapq.heappush(self.dst.ready, (sim.now, sim.delivered, self.index))
-        self.queue.append((sim.now, sim.delivered, msg))
+        self.msgs.append(msg)
+        self.ts.append(sim.now)
+        self.seqs.append(sim.delivered)
         self.dst.notify()
 
     def pop(self):
-        msg = self.queue.popleft()[2]
+        msg = self.msgs[self.head]
+        self.head += 1
+        if self.head == len(self.msgs):
+            self.msgs = self.ts = self.seqs = ()
+            self.head = 0
+            heapq.heappop(self.dst.ready)
+        else:
+            heapq.heapreplace(self.dst.ready, (self.ts[self.head], self.seqs[self.head], self.index))
         if type(msg) is DataMsg:
             self.sim.schedule(self.sim.now, self.src.on_channel_freed)
         return msg

@@ -11,16 +11,23 @@ import random
 
 import pytest
 
+from repro.core.dag import DAG
 from repro.engine import (
     CheckpointCoordinator,
+    EpochMarker,
     EpochScheduler,
     FriesScheduler,
+    KeyDist,
     MultiVersionScheduler,
     NaiveFCMScheduler,
+    OpSpec,
     SavepointScheduler,
     Simulator,
+    WorkflowSpec,
 )
+from repro.engine.channel import COMPACT_AT
 from repro.engine.schedulers import request_and_run
+from repro.engine.workload import EdgeSpec
 from repro.experiments import run_delay
 from repro.workflows import defs
 
@@ -203,9 +210,56 @@ def test_fork_of_warmed_run_is_golden(action, seed):
     empty channel holds the shared empty tuple, in the fork too."""
     sim, ops, t = warmed_chain(seed)
     fork = sim.fork()
-    assert any(type(ch.queue) is tuple for ch in fork.channels)
+    assert any(type(ch.msgs) is type(ch.ts) is type(ch.seqs) is tuple for ch in fork.channels)
     assert fingerprint(finish_chain(sim, action, ops, t)) == GOLDEN[f"{action}-{seed}"]
     assert fingerprint(finish_chain(fork, action, ops, t)) == GOLDEN[f"{action}-{seed}"]
+
+
+def backlogged_run() -> Simulator:
+    """src → A → B → sink: 3 000 tuples sent in 0.3 s into a channel of
+    capacity 3 000 that A drains at 1 000 per second, and an EBR request
+    at 0.2 s whose marker queues behind about 2 000 of them."""
+    dag = DAG.from_edges([("src", "A"), ("A", "B"), ("B", "sink")])
+    ops = {
+        "src": OpSpec("src", kind="source", rate=10_000, n_tuples=3_000,
+                      key_dist=KeyDist.uniform(10)),
+        "A": OpSpec("A", kind="map", cost={1: 0.001}),
+        "B": OpSpec("B", kind="map", cost={1: 0.0001}),
+        "sink": OpSpec("sink", kind="sink"),
+    }
+    edges = {("src", "A"): EdgeSpec("hash", capacity=3_000)}
+    sim = Simulator(WorkflowSpec(dag=dag, ops=ops, edges=edges))
+    sim.start()
+    sim.run(until=0.2)
+    EpochScheduler().request(sim, {"B"}, 0.2)
+    return sim
+
+
+# The run of ``backlogged_run`` with a (t, seq, msg) deque per channel,
+# which never compacts.
+BACKLOGGED_GOLDEN = "74a072428d0b63e77155cf993eac83dbd27d53ff"
+
+
+def test_fork_across_compaction_is_golden():
+    """The channel src → A stays non-empty for about 2 500 pops, so it
+    deletes its popped prefix (``COMPACT_AT``) while the marker is still
+    queued. A fork taken before the first compaction and one taken after
+    it both finish the golden run, and so does the original."""
+    sim = backlogged_run()
+    ch = sim.channels[0]
+    sim.run(until=1.0)
+    sent = sim.workers["src#0"].processed + 1  # every tuple, and the marker
+    assert sent == 3_001
+    assert len(ch.msgs) == sent and 0 < ch.head < COMPACT_AT  # nothing deleted yet
+    before = sim.fork()
+    sim.run(until=1.8)
+    assert 0 < len(ch.msgs) < sent and ch.markers_in_flight == 0  # compacted
+    assert EpochMarker in map(type, ch.msgs[ch.head:])
+    after = sim.fork()
+    assert len(after.channels[0].msgs) == len(ch.msgs) - ch.head  # only the unpopped part
+    for run in (before, after, sim):
+        run.run()
+        assert fingerprint(run) == BACKLOGGED_GOLDEN
 
 
 def test_fork_of_warmed_run_is_golden_at_p40():

@@ -1,6 +1,7 @@
 """Scheduler tests on the simulated engine: consistency (conflict-
 serializability of recorded schedules) and delay ordering for all five
 runtime schedulers."""
+import math
 import os
 import random
 import subprocess
@@ -606,13 +607,60 @@ def test_branching_serializable(case):
     unpruned Fries and EBR schedules are all conflict-serializable, and
     the multi-version scheduler runs each transaction at one version on
     the reconfiguration workers, where both versions run. A multi-version
-    request need not complete: a worker may get no v2 tuple before the
-    sources stop."""
+    request on a run that drains completes, even where a worker gets no
+    v2 tuple before the sources stop."""
     for scheduler in (FriesScheduler(), FriesScheduler(prune=False), EpochScheduler()):
         sim, res = run_case(case, scheduler)
         assert res.completed
         assert check(sim.schedule_log).serializable, scheduler
-    sim, _ = run_case(case, MultiVersionScheduler())
+    sim, res = run_case(case, MultiVersionScheduler())
+    assert res.completed or not sim.drained
     seen = versions_by_txn(sim, case.targets)
     assert all(len(v) == 1 for v in seen.values())
     assert set().union(*seen.values()) == {1, 2}
+
+
+# X1#1 gets no tuple: split SP1 sends a key to branch ``key % 2``, and the
+# hash edge into X1 picks worker ``key % 2`` again.
+UNREACHED_WORKER = Branching(
+    ("filter", "split"), ("X1", "SP1"), 0.17247696313949662,
+    parallelism={"F0": 2, "SP1": 1, "X1": 2, "Y1": 1, "U1": 2},
+    strategies={("src", "F0"): "hash", ("F0", "SP1"): "hash", ("SP1", "X1"): "hash",
+                ("SP1", "Y1"): "broadcast", ("X1", "U1"): "forward",
+                ("Y1", "U1"): "broadcast", ("U1", "sink"): "hash"},
+    capacity=5,
+)
+
+
+class TestMultiVersionUnreachedWorker:
+    """A reconfiguration worker that gets no data after the request runs
+    no v2 operation. Once the run drains, no v1 tuple can reach any worker
+    any more, so the request completes at the last v1 operation on a
+    reconfiguration worker; before that, it stays incomplete."""
+
+    def test_drained_run_completes(self):
+        sim, res = run_case(UNREACHED_WORKER, MultiVersionScheduler())
+        assert sim.drained
+        workers = sim.reconfig_workers(UNREACHED_WORKER.targets)
+        t = UNREACHED_WORKER.t
+        ops = [(when, w, v) for when, w, txn, v in sim.op_log
+               if w in workers and txn != UPDATE_TXN and when >= t]
+        assert not [op for op in ops if op[1] == "X1#1"]
+        assert {w for _, w, v in ops if v == 2} == workers - {"X1#1"}
+        last_v1 = max(when for when, _, v in ops if v == 1)
+        assert res.completed and res.delay == last_v1 - t
+        assert res.apply_times["X1#1"] == t
+
+    def test_running_run_is_incomplete(self):
+        case = UNREACHED_WORKER
+        sim = Simulator(branching_spec(case))
+        scheduler = MultiVersionScheduler()
+        sim.start()
+        sim.run(until=case.t)
+        scheduler.request(sim, set(case.targets), case.t)
+        sim.run(until=case.t + 0.2)
+        assert not sim.drained
+        assert {w for _, w, txn, v in sim.op_log if v == 2 and txn != UPDATE_TXN} >= \
+            sim.reconfig_workers(case.targets) - {"X1#1"}
+        res = scheduler.result(sim, case.t)
+        assert not res.completed and res.delay == math.inf and res.apply_times == {}

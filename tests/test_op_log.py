@@ -16,13 +16,19 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
-from collections import deque
 
 import pytest
 
 from repro.core.serializability import check, check_brute_force
 from repro.core.transactions import UPDATE_TXN, ColumnSchedule, DataOp, Schedule, UpdateOp
-from repro.engine import EpochScheduler, FriesScheduler, MultiVersionScheduler, NaiveFCMScheduler, Simulator
+from repro.engine import (
+    DataMsg,
+    EpochScheduler,
+    FriesScheduler,
+    MultiVersionScheduler,
+    NaiveFCMScheduler,
+    Simulator,
+)
 from repro.workflows import defs
 
 from .test_engine_basics import _halt_case_run
@@ -95,7 +101,7 @@ def _row_scan_multiversion(sim: Simulator, workers: frozenset, t: float):
                 last_v1[worker] = max(last_v1[worker], when)
             else:
                 seen_v2.add(worker)
-    done = seen_v2 >= workers
+    done = seen_v2 >= workers or sim.drained
     return done, (max(last_v1.values()) - t) if done else math.inf, last_v1 if done else {}
 
 
@@ -114,7 +120,7 @@ def test_multiversion_result_matches_row_scan():
         scheduler = MultiVersionScheduler()
         scheduler.request(sim, ops, t)
         workers = sim.reconfig_workers(ops)
-        while sim._heap or sim._lane:
+        while not sim.drained:
             sim.run(until=sim.now + 0.05)
             r = scheduler.result(sim, t)
             assert (r.completed, r.delay, r.apply_times) == _row_scan_multiversion(sim, workers, t)
@@ -203,6 +209,28 @@ def test_built_simulator_holds_at_most_400_bytes_per_channel():
     assert held / len(sim.channels) <= 400, held
 
 
+def test_queued_message_costs_at_most_32_bytes():
+    """A channel holding 10 000 queued data messages uses at most 32 bytes
+    of queue bookkeeping per message, the messages not counted: a list
+    slot and the arrival key in two typed columns, 24 bytes before growth
+    slack. A (t, seq, msg) tuple per message in a deque costs about 128."""
+    sim = Simulator(defs.w2(parallelism=4))
+    ch = sim.channels[0]
+    msgs = [DataMsg(i, i, 0.0) for i in range(10_000)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for msg in msgs:
+            ch.send(msg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert ch.data_load() == len(msgs)
+    assert held / len(msgs) <= 32, held
+
+
 def test_drained_run_holds_no_deque():
     """Once a run with ``n_tuples`` sources drains, through a Fries
     reconfiguration, no channel holds a queue and no worker a pending FCM."""
@@ -212,7 +240,7 @@ def test_drained_run_holds_no_deque():
     FriesScheduler().request(sim, {"J1", "J3"}, 0.1)
     sim.run()
     assert sim.apply_times and len(sim.sink_log) > 0
-    assert not [ch for ch in sim.channels if type(ch.queue) is deque]
+    assert all(type(ch.msgs) is type(ch.ts) is type(ch.seqs) is tuple for ch in sim.channels)
     assert all(w.control == () for w in sim.workers.values())
 
 
