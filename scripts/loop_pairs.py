@@ -1,32 +1,34 @@
 """Time the simulator's event loop in alternating parent/change pairs.
 
-    python3 scripts/loop_pairs.py --pairs 10 --parent HEAD~1
+    python3 scripts/loop_pairs.py --pairs 30 --parent HEAD~1
 
 Run from the repository root. A loop is one fixed warm-up, from
-``Simulator.start`` to ``Simulator.run(until=...)``, at the benchmark's
-seed:
+``Simulator.start`` to ``Simulator.run(until=...)``, at ``--seed`` (by
+default 7, the benchmark's):
 
 * ``W2-p4``: W2 at p=4 and 8 000 tuples/s, unrecorded, for 8 virtual s;
 * ``W2-p40``: W2 at p=40 (6 440 channels), unrecorded, for 2 virtual s;
 * ``W5-rec``: W5 at p=4 and 300 tuples/s, recording every operation, for
   40 virtual s.
 
-perfbench's end-to-end times spread too widely (an interquartile range of
-4–30 % of the median on a 4-vCPU host) to resolve a loop cost of 5–10 %.
-This script takes the minimum wall of ``--reps`` runs of each loop in one
-process, which discards most of the host's noise, and runs the two sides
-one after the other, never at the same time, with the first side alternating
-from pair to pair. The trees are those of ``perf_pairs.py``: the committed
-files of ``--parent`` and a copy of the working tree, in sibling temporary
-directories, byte-compiled first.
+perfbench's end-to-end times spread too widely to resolve a loop cost of
+5–10 %: their interquartile range was 4–11 % of the median in 10-pair runs
+on a 4-vCPU host. On such a host the speed of one loop also drifts by up
+to 2x over tens of seconds, in CPU time as much as in wall time. So one
+process per side (the trees of ``perf_pairs.py``: the committed files of
+``--parent`` and a copy of the working tree, in sibling temporary
+directories, byte-compiled first) stays up and runs one loop at a time on
+request. A pair is one run of a loop on each side, back to back, never at
+the same time, and the first side alternates from pair to pair. Each
+process first runs every loop once untimed, so that lazy set-up is done.
 
-Every process appends one record per loop to ``BENCH_loops.json``: the
-commit, the side, the pair, the minimum and all walls, and the loop's
-ordering keys taken and source tuples sent, which must be equal on both
-sides (a change that alters the run would time different work). The
-script prints, per loop, each side's minimum over all pairs and the
-median of its per-pair minimums, the change's cost in per cent, and the
-pairs in which the change was faster.
+Every run appends one record to ``BENCH_loops.json``: the commit, the
+side, the loop, the pair, the wall, and the loop's ordering keys taken and
+source tuples sent, which must be equal on both sides (a change that alters
+the run would time different work). The script prints, per loop, each
+side's minimum wall over all pairs and the change's cost from them, the
+median and quartiles of the change's cost within a pair, and the pairs in
+which the change was faster.
 """
 from __future__ import annotations
 
@@ -45,7 +47,8 @@ ROOT = perf_pairs.ROOT
 LOG = ROOT / "BENCH_loops.json"
 LOOPS = ("W2-p4", "W2-p40", "W5-rec")
 
-# Run in a tree with ``src`` on the path: prints one JSON line per loop.
+# Run in a tree with ``src`` on the path: for each loop name read from
+# standard input, one timed run, printed as one JSON line.
 TIMER = """
 import gc, json, sys, time
 from repro.engine import Simulator
@@ -55,83 +58,99 @@ LOOPS = {
     "W2-p40": (lambda: defs.w2(parallelism=40, rate=8000.0), "none", 2.0),
     "W5-rec": (lambda: defs.w5(parallelism=4, rate=300.0), "all", 40.0),
 }
-seed, reps = int(sys.argv[1]), int(sys.argv[2])
-for name in sys.argv[3:]:
-    build, record, until = LOOPS[name]
-    walls, work = [], set()
-    for _ in range(reps):
-        spec = build()
-        spec.seed = seed
-        sim = Simulator(spec, record=record)
-        gc.collect()
-        t0 = time.perf_counter()
-        sim.start()
-        sim.run(until=until)
-        walls.append(time.perf_counter() - t0)
-        work.add((sim._evseq, sum(w.processed for w in sim.workers.values() if w.op.kind == "source")))
-        del sim
-    (evseq, tuples), = work  # every rep runs the same loop
-    print(json.dumps({"loop": name, "walls": walls, "evseq": evseq, "tuples": tuples}))
+seed = int(sys.argv[1])
+for line in sys.stdin:
+    build, record, until = LOOPS[line.strip()]
+    spec = build()
+    spec.seed = seed
+    sim = Simulator(spec, record=record)
+    gc.collect()
+    t0 = time.perf_counter()
+    sim.start()
+    sim.run(until=until)
+    wall = time.perf_counter() - t0
+    tuples = sum(w.processed for w in sim.workers.values() if w.op.kind == "source")
+    print(json.dumps({"wall": wall, "evseq": sim._evseq, "tuples": tuples}), flush=True)
+    del sim
 """
 
 
-def time_loops(tree: pathlib.Path, loops: list[str], seed: int, reps: int) -> list[dict]:
-    """One process in ``tree`` that times ``reps`` runs of every loop."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONPATH"] = "src"
-    proc = subprocess.run([sys.executable, "-c", TIMER, str(seed), str(reps), *loops],
-                          cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"loop timing failed in {tree} (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
-    return [json.loads(line) for line in proc.stdout.splitlines()]
+class Timer:
+    """A process in ``tree`` that runs one loop per request."""
+
+    def __init__(self, tree: pathlib.Path, seed: int) -> None:
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["PYTHONPATH"] = "src"
+        self.tree = tree
+        self.proc = subprocess.Popen([sys.executable, "-c", TIMER, str(seed)], cwd=tree, env=env,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def run(self, loop: str) -> dict:
+        self.proc.stdin.write(loop + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"loop timing failed in {self.tree} (exit {self.proc.wait()})")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True, help="pairs of runs of each loop")
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
-    ap.add_argument("--reps", type=int, default=3, help="runs of each loop per process")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--loops", nargs="+", choices=LOOPS, default=list(LOOPS))
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.reps < 1:
-        ap.error("--pairs and --reps must be at least 1")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
 
     commits = {"parent": perf_pairs.git("rev-parse", args.parent),
                "change": perf_pairs.git("rev-parse", "HEAD")}
     dirty = bool(perf_pairs.git("status", "--porcelain", "--", "src"))
-    mins: dict[str, dict[str, list[float]]] = {side: {n: [] for n in args.loops} for side in commits}
-    work: dict[str, dict[str, set]] = {side: {n: set() for n in args.loops} for side in commits}
+    walls: dict[str, dict[str, list[float]]] = {side: {n: [] for n in LOOPS} for side in commits}
+    work: dict[str, dict[str, set]] = {side: {n: set() for n in LOOPS} for side in commits}
     with tempfile.TemporaryDirectory(prefix="loop_pairs_") as tmp:
         trees = {side: pathlib.Path(tmp, side) for side in ("parent", "change")}
         perf_pairs.extract(commits["parent"], trees["parent"])
         perf_pairs.copy_working_tree(trees["change"])
         for tree in trees.values():
             perf_pairs.compile_tree(tree)
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                for r in time_loops(trees[side], args.loops, args.seed, args.reps):
-                    name, low = r["loop"], min(r["walls"])
-                    mins[side][name].append(low)
-                    work[side][name].add((r["evseq"], r["tuples"]))
-                    perf_pairs.append_record({
-                        "commit": commits[side], "dirty": dirty and side == "change", "side": side,
-                        "loop": name, "seed": args.seed, "pair": i, "first": order[0],
-                        "min_s": low, "walls": r["walls"], "evseq": r["evseq"], "tuples": r["tuples"],
-                    }, LOG)
-                    print(f"pair {i} {side:6s} {name:7s} min {low:.4f} s", flush=True)
-    print(f"{args.pairs} pairs of {args.reps} reps, seed {args.seed}, parent {commits['parent'][:10]}, "
+        timers = {side: Timer(tree, args.seed) for side, tree in trees.items()}
+        try:
+            for timer in timers.values():
+                for name in LOOPS:
+                    timer.run(name)  # untimed: lazy set-up
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for name in LOOPS:
+                    for side in order:
+                        r = timers[side].run(name)
+                        walls[side][name].append(r["wall"])
+                        work[side][name].add((r["evseq"], r["tuples"]))
+                        perf_pairs.append_record({
+                            "commit": commits[side], "dirty": dirty and side == "change", "side": side,
+                            "loop": name, "seed": args.seed, "pair": i, "first": order[0],
+                            "wall_s": r["wall"], "evseq": r["evseq"], "tuples": r["tuples"],
+                        }, LOG)
+                print(f"pair {i}: " + "  ".join(
+                    f"{name} {walls['parent'][name][-1]:.4f}/{walls['change'][name][-1]:.4f} s"
+                    for name in LOOPS), flush=True)
+        finally:
+            for timer in timers.values():
+                timer.close()
+    print(f"{args.pairs} pairs, seed {args.seed}, parent {commits['parent'][:10]}, "
           f"change {commits['change'][:10]}{' (dirty)' if dirty else ''}")
-    for name in args.loops:
-        p, c = mins["parent"][name], mins["change"][name]
-        faster = sum(cc < pp for pp, cc in zip(p, c))
+    for name in LOOPS:
+        p, c = walls["parent"][name], walls["change"][name]
+        costs = [(cc / pp - 1) * 100 for pp, cc in zip(p, c)]
+        q1, med, q3 = perf_pairs.quartiles(costs)
         same = work["parent"][name] == work["change"][name] and len(work["parent"][name]) == 1
         print(f"  {name:7s} min parent {min(p):.4f} s, change {min(c):.4f} s, "
-              f"cost {(min(c) / min(p) - 1) * 100:+.1f} %; median of pair minimums "
-              f"{statistics.median(p):.4f} → {statistics.median(c):.4f} s "
-              f"({(statistics.median(c) / statistics.median(p) - 1) * 100:+.1f} %); "
-              f"change faster in {faster}/{args.pairs}; "
+              f"cost {(min(c) / min(p) - 1) * 100:+.1f} %; within a pair median {med:+.1f} % "
+              f"[{q1:+.1f}, {q3:+.1f}]; change faster in {sum(x < 0 for x in costs)}/{args.pairs}; "
               + ("same work on both sides" if same else f"DIFFERENT WORK: {work['parent'][name]} vs "
                  f"{work['change'][name]}"))
     return 0

@@ -159,11 +159,11 @@ class Channel:
         """Pop the head, which has arrived and whose entry is on top of the
         destination's ready heap: replace that entry by the new head's, or
         drop it and give the columns back if the channel is now empty.
-        Popping data frees room: the
-        sender gets a notice if it is waiting for room (``blocked``, sources
-        included), or may start waiting before the notice runs — busy with a
-        finish due now, which the lane runs before the notice. A notice to
-        any other sender would find it idle or busy and do nothing."""
+        Popping data frees room: the sender gets a notice if it is waiting
+        for room (``blocked``, sources included), or may start waiting
+        before the notice runs — busy with a finish due now, which the lane
+        runs before the notice. A notice to any other sender would find it
+        idle or busy and do nothing."""
         msgs, head = self.msgs, self.head
         msg = msgs[head]
         head += 1

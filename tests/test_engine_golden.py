@@ -243,14 +243,16 @@ BACKLOGGED_GOLDEN = "74a072428d0b63e77155cf993eac83dbd27d53ff"
 def test_fork_across_compaction_is_golden():
     """The channel src → A stays non-empty for about 2 500 pops, so it
     deletes its popped prefix (``COMPACT_AT``) while the marker is still
-    queued. A fork taken before the first compaction and one taken after
-    it both finish the golden run, and so does the original."""
+    queued; each pop has already let go of its message. A fork taken
+    before the first compaction and one taken after it both finish the
+    golden run, and so does the original."""
     sim = backlogged_run()
     ch = sim.channels[0]
     sim.run(until=1.0)
     sent = sim.workers["src#0"].processed + 1  # every tuple, and the marker
     assert sent == 3_001
     assert len(ch.msgs) == sent and 0 < ch.head < COMPACT_AT  # nothing deleted yet
+    assert not any(ch.msgs[:ch.head])  # but every popped message let go of
     before = sim.fork()
     sim.run(until=1.8)
     assert 0 < len(ch.msgs) < sent and ch.markers_in_flight == 0  # compacted
